@@ -183,25 +183,32 @@ def moment(X: ChaosElement, k: int) -> complex:
     return trace(acc)
 
 
+def _require_gap_input(f: Kernel, tol: float) -> None:
+    if not is_mirror_symmetric(f, tol):
+        raise ValueError("fourth_moment_gap requires a mirror-symmetric kernel")
+    if abs(norm(f) - 1.0) > tol:
+        raise ValueError(f"fourth_moment_gap requires unit norm, got {norm(f)}")
+
+
+def _contraction_norms2(f: Kernel) -> list[float]:
+    """||f contract_u f||^2 for u = 1, ..., n-1, unvalidated."""
+    norms2 = []
+    for u in range(1, f.order):
+        c = contract(f, f, u)
+        norms2.append(inner(c, c).real)
+    return norms2
+
+
 def fourth_moment_gap(f: Kernel, tol: float = 1e-9) -> float:
     """sum_{u=1}^{n-1} ||f contract_u f||^2, which equals phi(F^4) - 2.
 
     Requires f mirror-symmetric with unit norm (within tol); the identity
     with the moment path is a theorem for such kernels and is exercised in
-    the tests rather than assumed here.
+    the tests rather than assumed here.  Each summand is a sum of squared
+    moduli, so the gap is never negative.
     """
-    if not is_mirror_symmetric(f, tol):
-        raise ValueError("fourth_moment_gap requires a mirror-symmetric kernel")
-    if abs(norm(f) - 1.0) > tol:
-        raise ValueError(f"fourth_moment_gap requires unit norm, got {norm(f)}")
-    total = 0.0
-    for u in range(1, f.order):
-        c = contract(f, f, u)
-        total += inner(c, c).real
-    # rounding can leave a tiny negative residue on degenerate kernels
-    if abs(total) < 1e-12:
-        total = max(total, 0.0)
-    return total
+    _require_gap_input(f, tol)
+    return sum(_contraction_norms2(f))
 
 
 # ---------------------------------------------------------------------------

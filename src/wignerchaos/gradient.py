@@ -10,11 +10,14 @@ and the object of interest is the quadratic form
     Q = h * sum_s grad_s(N0^{-1} F) # (grad_s F)*,
 
 whose distance from 1 (x) 1 in the bi-norm is the left-hand side of the
-fourth-moment bound.  Everything here is computed slice-by-slice with the
-general blockwise adjoint, which stays valid for kernels that are only
-mirror-symmetric; the closed form over contraction norms is a second,
-independent path that requires full symmetry and is used for
-cross-validation and for the bound constants.
+fourth-moment bound.  The cell sum is itself a contraction: the cell s
+shared by the two slices is one more variable paired between the left
+kernel and the adjoint of f, so Q is assembled from bicontractions of the
+unsliced kernels with one extra contracted pair (see
+``gradient_quadratic_form``).  This uses the general blockwise adjoint and
+stays valid for kernels that are only mirror-symmetric; the closed form
+over contraction norms is a second, independent path that requires full
+symmetry and is used for cross-validation and for the bound constants.
 """
 
 from __future__ import annotations
@@ -22,17 +25,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import bounds
-from .bichaos import (
-    BiChaosElement,
-    adjoint as bichaos_adjoint,
-    from_split_kernel,
-    norm2,
-    one_tensor_one,
-    sharp_multiply,
+from .bichaos import BiChaosElement, norm2, one_tensor_one
+from .chaos import (
+    ChaosElement,
+    _contraction_norms2,
+    _require_gap_input,
 )
-from .chaos import ChaosElement, fourth_moment_gap
-from .grid_kernel import Kernel, contract, inner, is_symmetric, norm, slice_kernel
+from .grid_kernel import (
+    GridSpec,
+    Kernel,
+    SplitKernel,
+    adjoint_split,
+    bicontract,
+    is_symmetric,
+    norm,
+    slice_kernel,
+)
 
 __all__ = [
     "BoundReport",
@@ -75,20 +86,76 @@ def number_inverse(X: ChaosElement) -> ChaosElement:
     )
 
 
+def _fold_slice_pair(
+    acc: dict[tuple[int, int], np.ndarray], left: SplitKernel, right: SplitKernel
+) -> None:
+    """Add h * sum_s (left sliced at cell s) # (right sliced at cell s)* to acc.
+
+    left is a kernel in the split (k, n-k), sliced at argument k; right is
+    the blockwise adjoint of a kernel in the split (j, m-j), sliced at
+    argument j (see gradient_quadratic_form for why bicontract's p-pair
+    term is the slices' (p-1)-pair term summed over s).  Terms are
+    accumulated by output split as raw arrays.
+    """
+    (k, a), (j, b) = left.split, right.split
+    for p in range(1, min(k, j) + 1):
+        for r in range(min(a, b) + 1):
+            term = bicontract(left, right, p, r)
+            key, data = term.split, term.kernel.data
+            acc[key] = acc[key] + data if key in acc else data
+
+
+def _bichaos_from_arrays(
+    grid: GridSpec, acc: dict[tuple[int, int], np.ndarray]
+) -> BiChaosElement:
+    return BiChaosElement(
+        grid,
+        {
+            split: SplitKernel(Kernel(grid, sum(split), data), split)
+            for split, data in acc.items()
+        },
+    )
+
+
+def _slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
+    """h * sum_s (f sliced at argument k, cell s) # (f sliced at j, cell s)*."""
+    n = f.order
+    acc: dict[tuple[int, int], np.ndarray] = {}
+    _fold_slice_pair(
+        acc, SplitKernel(f, (k, n - k)), adjoint_split(SplitKernel(f, (j, n - j)))
+    )
+    return _bichaos_from_arrays(f.grid, acc)
+
+
 def gradient_quadratic_form(
     n: int, f: Kernel, apply_number_inverse: bool
 ) -> BiChaosElement:
-    """h * sum_s grad_s(F or N0^{-1}F) # (grad_s F)*, slice by slice."""
+    """h * sum_s grad_s(L) # (grad_s f)* with L = f/n (or f), the cell sum folded.
+
+    Slicing argument k of L and argument j of f at the same cell s and
+    summing over s with weight h is one more nested contracted pair, so
+
+        Q = sum_{k,j=1..n} sum_{p=1..min(k,j)} sum_{r=0..min(n-k,n-j)}
+              bicontract(L split (k, n-k), (f split (j, n-j))*, p, r)
+
+    with * the blockwise adjoint.  The split (k, n-k) makes the sliced
+    argument the innermost first-leg axis of L and the adjoint of the split
+    (j, n-j) makes it the outermost first-leg axis of the right factor, so
+    bicontract's nested junction pairs them first; its weight h^(p+r)
+    absorbs the cell width h of the outer sum.  The other p-1 first-leg
+    pairs and the r second-leg pairs are the biproduct formula of the
+    slices.  No symmetry of f is assumed.
+    """
     if n < 1 or f.order != n:
         raise ValueError("gradient_quadratic_form needs f of order n >= 1")
     left_kernel = f * (1.0 / n) if apply_number_inverse else f
-    acc: Optional[BiChaosElement] = None
-    for s in range(f.grid.cells):
-        left = gradient(n, left_kernel, s).value
-        right = bichaos_adjoint(gradient(n, f, s).value)
-        term = sharp_multiply(left, right)
-        acc = term if acc is None else acc + term
-    return f.grid.cell_width * acc
+    lefts = [SplitKernel(left_kernel, (k, n - k)) for k in range(1, n + 1)]
+    rights = [adjoint_split(SplitKernel(f, (j, n - j))) for j in range(1, n + 1)]
+    acc: dict[tuple[int, int], np.ndarray] = {}
+    for left in lefts:
+        for right in rights:
+            _fold_slice_pair(acc, left, right)
+    return _bichaos_from_arrays(f.grid, acc)
 
 
 def main_bound_lhs(n: int, f: Kernel) -> float:
@@ -124,15 +191,18 @@ def closed_form_lhs(n: int, f: Kernel, tol: float = 1e-9) -> float:
     matrices equals its transpose) and the bound is an equality; for
     n >= 3 the arrangements differ and it is strict on generic input.
     """
+    if f.order != n:
+        raise ValueError("closed_form_lhs needs f of order n")
     if not is_symmetric(f, tol):
         raise ValueError("closed_form_lhs requires a fully symmetric kernel")
     if abs(norm(f) - 1.0) > tol:
         raise ValueError("closed_form_lhs requires unit norm")
-    total = 0.0
-    for u in range(1, n):
-        c = contract(f, f, u)
-        total += bounds.P(n, u) * inner(c, c).real
-    return total / n**2
+    return _closed_form(n, _contraction_norms2(f))
+
+
+def _closed_form(n: int, norms2: list[float]) -> float:
+    # norms2[u-1] = ||f contract_u f||^2
+    return sum(bounds.P(n, u) * c2 for u, c2 in enumerate(norms2, start=1)) / n**2
 
 
 @dataclass(frozen=True)
@@ -157,9 +227,11 @@ def bound_report(n: int, f: Kernel, tol: float = 1e-9) -> BoundReport:
     bound_satisfied records lhs <= c_n * gap + 1e-9 (which is a theorem
     for fully symmetric f and can legitimately fail otherwise).
     """
-    gap = fourth_moment_gap(f, tol)
+    _require_gap_input(f, tol)
+    norms2 = _contraction_norms2(f)
+    gap = sum(norms2)
     lhs = main_bound_lhs(n, f)
-    closed = closed_form_lhs(n, f, tol) if is_symmetric(f, tol) else None
+    closed = _closed_form(n, norms2) if is_symmetric(f, tol) else None
     c_n = bounds.C(n).c_n
     return BoundReport(
         n=n,

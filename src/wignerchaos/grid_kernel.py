@@ -74,11 +74,31 @@ class MemoryCapError(ValueError):
     """An operation would allocate more than MAX_ENTRIES tensor entries."""
 
 
+# numpy's limit on array dimensions, hence on kernel order
+_MAX_ORDER = 64
+
+
 def _require_capacity(cells: int, order: int) -> None:
-    if cells**order > MAX_ENTRIES:
+    """Refuse an order-`order` tensor on `cells` cells above MAX_ENTRIES.
+
+    Decided in O(1): an untrusted header can make cells**order an
+    arbitrarily large integer, so the power is formed only once order and
+    cells are known to be small.  On two or more cells the count is at
+    least 2**order, and one axis of more than MAX_ENTRIES cells exceeds
+    the cap on its own.
+    """
+    if cells > 1 and order > 0 and (
+        order >= MAX_ENTRIES.bit_length()
+        or cells > MAX_ENTRIES
+        or cells**order > MAX_ENTRIES
+    ):
         raise MemoryCapError(
-            f"output of order {order} on {cells} cells has {cells**order} "
-            f"entries, exceeding the cap of {MAX_ENTRIES}"
+            f"output of order {order} on {cells} cells exceeds the cap of "
+            f"{MAX_ENTRIES} entries"
+        )
+    if order > _MAX_ORDER:  # one cell: a single entry, but too many axes
+        raise MemoryCapError(
+            f"order {order} exceeds the {_MAX_ORDER} axes an array can have"
         )
 
 
@@ -119,6 +139,7 @@ class Kernel:
     def __init__(self, grid: GridSpec, order: int, data):
         if order < 0:
             raise ValueError("order must be >= 0")
+        _require_capacity(grid.cells, order)
         arr = np.array(data, dtype=np.complex128, order="C")
         shape = (grid.cells,) * order
         if arr.size != grid.cells**order:
@@ -458,6 +479,7 @@ def kernel_from_bytes(buf: bytes) -> Kernel:
     if version != _VERSION:
         raise ValueError(f"unsupported record version {version}")
     grid = GridSpec(total_length, int(cells))
+    _require_capacity(grid.cells, order)
     expected = _HEADER.size + cells**order * 16
     if len(buf) != expected:
         raise ValueError(f"record length {len(buf)}, expected {expected}")

@@ -1,16 +1,19 @@
 """Free gradient, quadratic form, and the fourth-moment bound.
 
-The slice path (gradient_quadratic_form -> norm2) is cross-validated here
-against an arrangement-sum oracle built directly from plain contractions
-and axis transposes, which shares no code with the bicontraction engine.
+The quadratic form (gradient_quadratic_form -> norm2) is cross-validated
+here against two references: the literal per-cell loop over gradient
+slices and sharp products, and an arrangement-sum oracle built directly
+from plain contractions and axis transposes, which shares no code with the
+bicontraction engine.
 """
 
 import math
+from importlib import import_module
 
 import numpy as np
 import pytest
 
-from wignerchaos.bichaos import bitrace, norm2, one_tensor_one
+from wignerchaos.bichaos import adjoint, bitrace, norm2, one_tensor_one, sharp_multiply
 from wignerchaos.bounds import C, P
 from wignerchaos.chaos import fourth_moment_gap
 from wignerchaos.cli import counterexample_kernel, random_symmetric_unit_kernel
@@ -32,6 +35,29 @@ from wignerchaos.grid_kernel import (
     contract,
     slice_kernel,
 )
+
+
+# the package re-exports the function `gradient` under the module's name
+gradient_module = import_module("wignerchaos.gradient")
+
+
+def quadratic_form_by_cells(n, f, apply_number_inverse):
+    # the defining cell loop: h * sum_s grad_s(L) # (grad_s f)*
+    left_kernel = f * (1.0 / n) if apply_number_inverse else f
+    acc = None
+    for s in range(f.grid.cells):
+        left = gradient(n, left_kernel, s).value
+        right = adjoint(gradient(n, f, s).value)
+        term = sharp_multiply(left, right)
+        acc = term if acc is None else acc + term
+    return f.grid.cell_width * acc
+
+
+def random_complex_kernel(grid, order, seed, index):
+    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
+    shape = (grid.cells,) * order
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Kernel(grid, order, data)
 
 
 def lhs_by_arrangements(n, f):
@@ -199,13 +225,47 @@ def test_coefficient_c_symmetry_and_range():
 def test_counterexample_true_values():
     # the order-3 mirror-symmetric kernel: gap 2/N, and the quadratic-form
     # lhs follows (1 + 16/N + 26/N^2)/9, dipping below 1 from N = 4 on
-    for N in (2, 4, 8):
+    for N in (2, 4, 8, 24):
         f = counterexample_kernel(N)
         assert fourth_moment_gap(f) == pytest.approx(2 / N, abs=1e-12)
         lhs = main_bound_lhs(3, f)
         assert lhs == pytest.approx((1 + 16 / N + 26 / N**2) / 9, abs=1e-12)
     assert main_bound_lhs(3, counterexample_kernel(2)) > 1
     assert main_bound_lhs(3, counterexample_kernel(4)) < 1
+
+
+def test_folded_quadratic_form_matches_cell_loop():
+    # generic complex kernels with no symmetry at all: the folded cell sum
+    # must reproduce the per-cell loop split by split
+    for n in (1, 2, 3, 4):
+        for cells in (1, 2, 3, 4):
+            g = GridSpec(1.5, cells)
+            f = random_complex_kernel(g, n, seed=41, index=10 * n + cells)
+            for apply_number_inverse in (False, True):
+                Q = gradient_quadratic_form(n, f, apply_number_inverse)
+                R = quadratic_form_by_cells(n, f, apply_number_inverse)
+                assert Q.splits == R.splits, (n, cells, apply_number_inverse)
+                for split, w in R.coeffs.items():
+                    err = np.max(np.abs(Q.coeffs[split].kernel.data - w.kernel.data))
+                    assert err <= 1e-12, (n, cells, apply_number_inverse, split)
+
+
+def test_quadratic_form_bicontract_calls_do_not_grow_with_cells(monkeypatch):
+    calls = []
+    original = gradient_module.bicontract
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(gradient_module, "bicontract", counting)
+    counts = []
+    for cells in (2, 6):
+        f = random_complex_kernel(GridSpec(1.0, cells), 3, seed=43, index=cells)
+        calls.clear()
+        gradient_quadratic_form(3, f, apply_number_inverse=True)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_bound_report_fields():

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -270,6 +271,29 @@ def test_binary_rejects_corrupt_input():
         kernel_from_bytes(b"XXXX" + buf[4:])
     with pytest.raises(ValueError):
         kernel_from_bytes(buf[:-8])
+
+
+def test_binary_rejects_huge_order_header_before_allocating():
+    # cells**order for the first header is an integer of 2**62 bits, and one
+    # cell with 2**62 axes would need a shape tuple as long: both must be
+    # refused from the header alone
+    for cells, order in ((2, 2**62), (3, 27), (2**40, 1), (1, 2**62)):
+        buf = struct.pack("<4sHdQQ", b"WGKR", 1, 1.0, cells, order) + bytes(16)
+        with pytest.raises(MemoryCapError):
+            kernel_from_bytes(buf)
+
+
+def test_json_rejects_huge_order_before_allocating():
+    for cells, order in ((2, 2**62), (10**30, 2), (1, 2**62)):
+        doc = {
+            "total_length": 1.0,
+            "cells": cells,
+            "order": order,
+            "re": [0.0],
+            "im": [0.0],
+        }
+        with pytest.raises(MemoryCapError):
+            kernel_from_json(doc)
 
 
 def test_file_roundtrip(tmp_path):
