@@ -58,13 +58,7 @@ class BMConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2 (at n = 1 there is no gap to measure)")
-        if not 0.0 < self.H < 1.0:
-            raise ValueError("H must lie in (0, 1)")
-        if self.H >= (2 * self.n - 1) / (2 * self.n):
-            raise ValueError(
-                f"H={self.H} violates the summability condition "
-                f"H < {(2 * self.n - 1) / (2 * self.n)} for n={self.n}"
-            )
+        _require_summable(self.n, self.H)
         object.__setattr__(self, "m_list", tuple(self.m_list))
         if any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
             raise ValueError("m_list must be strictly increasing")
@@ -92,6 +86,21 @@ class BMResult:
     sigma2_tail_bound: float
 
 
+def _require_summable(n: int, H: float) -> None:
+    """Raise unless H lies in (0, 1) and sum_k |rho_H(k)|^n converges.
+
+    |rho_H(k)| decays like k^(2H-2), so the sum is finite iff
+    n(2 - 2H) > 1, that is H < (2n-1)/(2n).
+    """
+    if not 0.0 < H < 1.0:
+        raise ValueError("H must lie in (0, 1)")
+    if H >= (2 * n - 1) / (2 * n):
+        raise ValueError(
+            f"H={H} violates the summability condition "
+            f"H < {(2 * n - 1) / (2 * n)} for n={n}"
+        )
+
+
 def rho(H: float, k: int) -> float:
     """Autocovariance of unit-step fractional increments at lag k."""
     if not 0.0 < H < 1.0:
@@ -116,12 +125,7 @@ def sigma2(n: int, H: float, K: int) -> float:
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if not 0.0 < H < 1.0:
-        raise ValueError("H must lie in (0, 1)")
-    if H >= (2 * n - 1) / (2 * n):
-        raise ValueError(
-            f"H={H} violates the summability condition H < {(2 * n - 1) / (2 * n)}"
-        )
+    _require_summable(n, H)
     r = _rho_vector(H, K + 1)
     return float(r[0] ** n + 2.0 * np.sum(r[1:] ** n))
 
@@ -233,10 +237,7 @@ def alpha(n: int, H: float) -> float:
     """
     if n < 2:
         raise ValueError("alpha is defined for n >= 2")
-    if not 0.0 < H < (2 * n - 1) / (2 * n):
-        raise ValueError(
-            f"H={H} outside (0, {(2 * n - 1) / (2 * n)}) for n={n}"
-        )
+    _require_summable(n, H)
     if H <= 0.5:
         return -0.5
     if H <= (2 * n - 3) / (2 * n - 2):

@@ -1,10 +1,12 @@
 """Reproducible experiment driver.
 
 Subcommands: ``constants``, ``counterexample``, ``bound-check``,
-``breuer-major``.  Every run is fully determined by its flags (plus an
-optional key=value config file; flags win), outputs carry a schema header
-with the effective configuration, and the exit status is nonzero exactly
-when one of the asserted identities fails beyond tolerance.
+``breuer-major``, all described by the table ``_SUBCOMMANDS``.  Every run
+is fully determined by its flags (plus an optional key=value config file;
+flags win, and both go through the same per-key converter), outputs carry
+a schema header with the effective configuration, and the exit status is
+1 exactly when one of the asserted identities fails beyond tolerance and
+2 on a bad flag, config value or parameter.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import bounds
 from .bichaos import norm2
-from .breuer_major import BMConfig, rate_fit
+from .breuer_major import NORMALIZATIONS, BMConfig, rate_fit
 from .chaos import fourth_moment_gap
 from .gradient import _slice_pair_form, bound_report, main_bound_lhs
 from .grid_kernel import GridSpec, Kernel, inner, norm, symmetrize
@@ -137,23 +139,19 @@ def run_constants(n_max: int, tol: float):
     return fields, rows, {}, failures
 
 
-def _counterexample_summand_norm2(f: Kernel) -> float:
-    # the (k, q) = (2, 2) slice-pair term of the gradient quadratic form
-    return norm2(_slice_pair_form(f, 2, 2))
-
-
-def run_counterexample(N_list: list[int], tol: float):
+def run_counterexample(N: list[int], tol: float):
     fields = ["N", "norm_sq", "gap", "summand_norm2", "lhs"]
     rows, failures = [], []
-    for N in N_list:
-        f = counterexample_kernel(N)
+    for size in N:
+        f = counterexample_kernel(size)
         norm_sq = inner(f, f).real
         gap = fourth_moment_gap(f, tol)
-        summand = _counterexample_summand_norm2(f)
+        # the (k, q) = (2, 2) slice-pair term of the gradient quadratic form
+        summand = norm2(_slice_pair_form(f, 2, 2))
         lhs = main_bound_lhs(3, f)
         rows.append(
             {
-                "N": N,
+                "N": size,
                 "norm_sq": norm_sq,
                 "gap": gap,
                 "summand_norm2": summand,
@@ -161,27 +159,27 @@ def run_counterexample(N_list: list[int], tol: float):
             }
         )
         if abs(norm_sq - 1.0) > tol:
-            failures.append(f"counterexample: N={N} ||f||^2 = {norm_sq!r} != 1")
-        if abs(gap * N - 2.0) > tol:
-            failures.append(f"counterexample: N={N} gap*N = {gap * N!r} != 2")
-        if abs(summand - (1.0 + 3.0 / N)) > tol:
+            failures.append(f"counterexample: N={size} ||f||^2 = {norm_sq!r} != 1")
+        if abs(gap * size - 2.0) > tol:
+            failures.append(f"counterexample: N={size} gap*N = {gap * size!r} != 2")
+        if abs(summand - (1.0 + 3.0 / size)) > tol:
             failures.append(
-                f"counterexample: N={N} summand norm2 = {summand!r} "
-                f"!= 1 + 3/N = {1.0 + 3.0 / N!r}"
+                f"counterexample: N={size} summand norm2 = {summand!r} "
+                f"!= 1 + 3/N = {1.0 + 3.0 / size!r}"
             )
         if not lhs > 1.0:
-            failures.append(f"counterexample: N={N} lhs = {lhs!r} not > 1")
+            failures.append(f"counterexample: N={size} lhs = {lhs!r} not > 1")
     return fields, rows, {}, failures
 
 
-def run_bound_check(n: int, cells: int, trials: int, seed: int, tol: float):
+def run_bound_check(n: int, grid: int, trials: int, seed: int, tol: float):
     fields = ["trial", "gap", "lhs", "lhs_closed_form", "ratio", "bound_satisfied"]
-    grid = GridSpec(1.0, cells)
+    spec = GridSpec(1.0, grid)
     rows, failures = [], []
     max_ratio = -math.inf
     max_path_diff = 0.0
     for t in range(trials):
-        f = random_symmetric_unit_kernel(grid, n, seed, t)
+        f = random_symmetric_unit_kernel(spec, n, seed, t)
         rep = bound_report(n, f, tol)
         ratio = rep.lhs / (rep.c_n * rep.gap) if rep.gap > 1e-13 else math.nan
         rows.append(
@@ -221,22 +219,22 @@ def run_bound_check(n: int, cells: int, trials: int, seed: int, tol: float):
 
 
 def run_breuer_major(
-    n: int, H: float, m_list: list[int], truncation: int, normalization: str, tol: float
+    n: int, H: float, m: list[int], truncation: int, normalization: str, tol: float
 ):
     cfg = BMConfig(
         n=n,
         H=H,
-        m_list=tuple(m_list),
+        m_list=tuple(m),
         truncation=truncation,
         normalization=normalization,
     )
     result = rate_fit(cfg)
     fields = ["m", "gap", "sqrt_gap_bound", "slope_running", "alpha_theory"]
     rows = []
-    for i, m in enumerate(cfg.m_list):
+    for i, size in enumerate(cfg.m_list):
         rows.append(
             {
-                "m": m,
+                "m": size,
                 "gap": result.gaps[i],
                 "sqrt_gap_bound": result.dc2_from_gap[i],
                 "slope_running": result.slope_running[i],
@@ -251,11 +249,7 @@ def run_breuer_major(
         "sigma2_tail_bound": result.sigma2_tail_bound,
         "rate_target": "gap ~ m^(2*alpha); distances use the Cauchy-Schwarz bound",
     }
-    return fields, rows, summary, failures_empty()
-
-
-def failures_empty() -> list[str]:
-    return []
+    return fields, rows, summary, []
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +273,7 @@ def _write_json(fh, schema: str, cfg: RunConfig, fields, rows, summary):
             "subcommand": cfg.subcommand,
             "format": cfg.format,
             "tol": cfg.tol,
-            **{k: list(v) if isinstance(v, tuple) else v for k, v in cfg.params.items()},
+            **cfg.params,
         },
         "fields": fields,
         "rows": rows,
@@ -290,17 +284,12 @@ def _write_json(fh, schema: str, cfg: RunConfig, fields, rows, summary):
 
 def _emit(cfg: RunConfig, fields, rows, summary) -> None:
     schema = f"{_SCHEMA_PREFIX}.{cfg.subcommand}.v1"
+    write = _write_csv if cfg.format == "csv" else _write_json
     if cfg.out:
         with open(cfg.out, "w") as fh:
-            if cfg.format == "csv":
-                _write_csv(fh, schema, cfg, fields, rows, summary)
-            else:
-                _write_json(fh, schema, cfg, fields, rows, summary)
+            write(fh, schema, cfg, fields, rows, summary)
     else:
-        if cfg.format == "csv":
-            _write_csv(sys.stdout, schema, cfg, fields, rows, summary)
-        else:
-            _write_json(sys.stdout, schema, cfg, fields, rows, summary)
+        write(sys.stdout, schema, cfg, fields, rows, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -308,39 +297,77 @@ def _emit(cfg: RunConfig, fields, rows, summary) -> None:
 # ---------------------------------------------------------------------------
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+    return [int(part) for part in text.split(",") if part != ""]
 
 
-_DEFAULTS = {
-    "constants": {"n_max": 12},
-    "counterexample": {"N": [2, 4, 8, 16]},
-    "bound-check": {"n": 2, "grid": 3, "trials": 50, "seed": 0},
-    "breuer-major": {
-        "n": 2,
-        "H": 0.3,
-        "m": [16, 32, 64, 128, 256, 512],
-        "truncation": 100_000,
-        "normalization": "exact_variance",
-    },
+def _checked(parse, valid=None, need: str = ""):
+    """Converter of one key, shared by its flag (argparse ``type=``) and config files.
+
+    Any bad value raises ArgumentTypeError: argparse reports it against the
+    flag, _parse_config_file against the file line; both exit with status 2.
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if valid is not None and not valid(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {need}")
+        return value
+
+    return convert
+
+
+_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+# Only what nothing downstream checks is checked here; BMConfig, GridSpec
+# and counterexample_kernel own the ranges of the other keys.
+_CONVERTERS = {
+    "format": _checked(str, ("csv", "json").__contains__, "csv or json"),
+    "out": str,
+    "tol": _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "n_max": _checked(int, lambda v: v >= 2, "an integer >= 2"),
+    "N": _checked(_int_list),
+    "n": _checked(int),
+    "grid": _checked(int),
+    "trials": _NONNEGATIVE_INT,
+    "seed": _NONNEGATIVE_INT,
+    "H": _checked(float),
+    "m": _checked(_int_list),
+    "truncation": _checked(int),
+    "normalization": _checked(
+        str, NORMALIZATIONS.__contains__, " or ".join(NORMALIZATIONS)
+    ),
 }
 
-_CONVERTERS = {
-    "format": str,
-    "out": str,
-    "tol": float,
-    "n_max": int,
-    "N": _int_list,
-    "n": int,
-    "grid": int,
-    "trials": int,
-    "seed": int,
-    "H": float,
-    "m": _int_list,
-    "truncation": int,
-    "normalization": str,
+_GLOBAL_DEFAULTS = {"format": "csv", "out": None, "tol": 1e-9}
+
+# subcommand -> (runner, help, {key: default}); the runner is called as
+# runner(**params, tol=tol) and each key is also the flag --<key>
+_SUBCOMMANDS = {
+    "constants": (run_constants, "bound-constant table C_n", {"n_max": 12}),
+    "counterexample": (
+        run_counterexample,
+        "mirror-symmetric counterexample table",
+        {"N": [2, 4, 8, 16]},
+    ),
+    "bound-check": (
+        run_bound_check,
+        "randomized fourth-moment bound checks",
+        {"n": 2, "grid": 3, "trials": 50, "seed": 0},
+    ),
+    "breuer-major": (
+        run_breuer_major,
+        "gap decay-rate sweep",
+        {
+            "n": 2,
+            "H": 0.3,
+            "m": [16, 32, 64, 128, 256, 512],
+            "truncation": 100_000,
+            "normalization": "exact_variance",
+        },
+    ),
 }
 
 
@@ -357,7 +384,10 @@ def _parse_config_file(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in _CONVERTERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONVERTERS[key](raw.strip())
+            try:
+                values[key] = _CONVERTERS[key](raw.strip())
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -366,88 +396,41 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wignerchaos",
         description="Exact kernel-calculus experiments for Wigner chaos.",
     )
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--config", default=None, help="key=value config file")
+    parser.add_argument("--format", type=_CONVERTERS["format"], metavar="{csv,json}")
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--tol", type=_CONVERTERS["tol"])
+    parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("constants", help="bound-constant table C_n")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-
-    p = sub.add_parser("counterexample", help="mirror-symmetric counterexample table")
-    p.add_argument("--N", dest="N", type=_int_list, default=None)
-
-    p = sub.add_parser("bound-check", help="randomized fourth-moment bound checks")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("breuer-major", help="gap decay-rate sweep")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--H", dest="H", type=float, default=None)
-    p.add_argument("--m", dest="m", type=_int_list, default=None)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument(
-        "--normalization",
-        choices=("asymptotic_sigma", "exact_variance"),
-        default=None,
-    )
+    for name, (_, help_text, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in defaults:
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, type=_CONVERTERS[key])
     return parser
 
 
-def _effective(args, file_values: dict, key: str, builtin):
-    cli_value = getattr(args, key.replace("-", "_"), None)
-    if cli_value is not None:
-        return cli_value
-    if key in file_values:
-        return file_values[key]
-    return builtin
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         file_values = _parse_config_file(args.config) if args.config else {}
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    fmt = _effective(args, file_values, "format", "csv")
-    out = _effective(args, file_values, "out", None)
-    tol = _effective(args, file_values, "tol", 1e-9)
-    defaults = _DEFAULTS[args.subcommand]
-    params = {
-        key: _effective(args, file_values, key, builtin)
-        for key, builtin in defaults.items()
-    }
-    if args.subcommand == "bound-check" and params["seed"] < 0:
-        print("error: seed must be >= 0", file=sys.stderr)
-        return 2
-    cfg = RunConfig(
-        subcommand=args.subcommand, format=fmt, out=out, tol=tol, params=params
-    )
+    def effective(defaults: dict) -> dict:
+        # a flag wins over the config file, which wins over the default
+        return {
+            key: file_values.get(key, default)
+            if getattr(args, key) is None
+            else getattr(args, key)
+            for key, default in defaults.items()
+        }
 
+    runner, _, defaults = _SUBCOMMANDS[args.subcommand]
+    params = effective(defaults)
+    cfg = RunConfig(args.subcommand, params=params, **effective(_GLOBAL_DEFAULTS))
     try:
-        if args.subcommand == "constants":
-            fields, rows, summary, failures = run_constants(params["n_max"], tol)
-        elif args.subcommand == "counterexample":
-            fields, rows, summary, failures = run_counterexample(params["N"], tol)
-        elif args.subcommand == "bound-check":
-            fields, rows, summary, failures = run_bound_check(
-                params["n"], params["grid"], params["trials"], params["seed"], tol
-            )
-        else:
-            fields, rows, summary, failures = run_breuer_major(
-                params["n"],
-                params["H"],
-                params["m"],
-                params["truncation"],
-                params["normalization"],
-                tol,
-            )
+        fields, rows, summary, failures = runner(**params, tol=cfg.tol)
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,7 +47,6 @@ from .grid_kernel import (
 
 __all__ = [
     "BoundReport",
-    "GradientSlice",
     "bound_report",
     "closed_form_lhs",
     "coefficient_c",
@@ -55,20 +54,10 @@ __all__ = [
     "gradient_quadratic_form",
     "main_bound_lhs",
     "number_inverse",
-    "report_csv_fields",
-    "report_to_row",
 ]
 
 
-@dataclass(frozen=True)
-class GradientSlice:
-    """Value of the gradient biprocess at one time cell."""
-
-    s: int
-    value: BiChaosElement
-
-
-def gradient(n: int, f: Kernel, s: int) -> GradientSlice:
+def gradient(n: int, f: Kernel, s: int) -> BiChaosElement:
     """grad_s I_n(f) as a sum of bi-integrals of argument slices."""
     if n < 1 or f.order != n:
         raise ValueError("gradient needs f of order n >= 1")
@@ -76,7 +65,7 @@ def gradient(n: int, f: Kernel, s: int) -> GradientSlice:
     for k in range(1, n + 1):
         w = slice_kernel(f, k, s)
         terms[w.split] = w
-    return GradientSlice(s, BiChaosElement(f.grid, terms))
+    return BiChaosElement(f.grid, terms)
 
 
 def number_inverse(X: ChaosElement) -> ChaosElement:
@@ -243,29 +232,3 @@ def bound_report(n: int, f: Kernel, tol: float = 1e-9) -> BoundReport:
         dc2_from_lhs=bounds.dc2_bound_from_lhs(lhs),
         bound_satisfied=lhs <= c_n * gap + 1e-9,
     )
-
-
-def report_csv_fields() -> list[str]:
-    return [
-        "n",
-        "gap",
-        "lhs",
-        "lhs_closed_form",
-        "c_n",
-        "dc2_from_gap",
-        "dc2_from_lhs",
-        "bound_satisfied",
-    ]
-
-
-def report_to_row(r: BoundReport) -> dict:
-    return {
-        "n": r.n,
-        "gap": r.gap,
-        "lhs": r.lhs,
-        "lhs_closed_form": "" if r.lhs_closed_form is None else r.lhs_closed_form,
-        "c_n": r.c_n,
-        "dc2_from_gap": r.dc2_from_gap,
-        "dc2_from_lhs": r.dc2_from_lhs,
-        "bound_satisfied": r.bound_satisfied,
-    }

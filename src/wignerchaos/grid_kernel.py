@@ -24,6 +24,7 @@ places where the reversal convention is implemented.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass
@@ -102,6 +103,14 @@ def _require_capacity(cells: int, order: int) -> None:
         )
 
 
+def _require_int(name: str, value) -> None:
+    # decoded records can carry floats, bools or strings where ints belong
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, np.integer)
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on [0, total_length] with `cells` cells of width h."""
@@ -110,9 +119,13 @@ class GridSpec:
     cells: int
 
     def __post_init__(self):
+        _require_int("cells", self.cells)
         if self.cells < 1:
             raise ValueError("cells must be >= 1")
-        if not (self.total_length > 0 and math.isfinite(self.total_length)):
+        if not (
+            isinstance(self.total_length, numbers.Real)
+            and 0 < self.total_length < math.inf
+        ):
             raise ValueError("total_length must be positive and finite")
 
     @property
@@ -137,6 +150,7 @@ class Kernel:
     __slots__ = ("grid", "order", "data")
 
     def __init__(self, grid: GridSpec, order: int, data):
+        _require_int("order", order)
         if order < 0:
             raise ValueError("order must be >= 0")
         _require_capacity(grid.cells, order)
@@ -293,29 +307,22 @@ def is_mirror_symmetric(f: Kernel, tol: float = 1e-9) -> bool:
     return max_abs_diff(f, adjoint(f)) <= tol
 
 
-def _permutation_group(order: int):
-    # All n! permutations for small orders; adjacent transpositions (which
-    # generate the symmetric group) beyond that.
-    if order <= 5:
-        return list(permutations(range(order)))
-    gens = []
-    for i in range(order - 1):
-        p = list(range(order))
-        p[i], p[i + 1] = p[i + 1], p[i]
-        gens.append(tuple(p))
-    return gens
-
-
 def is_symmetric(f: Kernel, tol: float = 1e-9) -> bool:
-    """True iff f is real (within tol) and invariant under argument permutations."""
+    """True iff f is real and invariant under adjacent argument swaps, within tol.
+
+    Adjacent transpositions generate the symmetric group and every
+    permutation of n arguments is a product of at most n(n-1)/2 of them;
+    the max-norm is invariant under permutation, so any permutation moves
+    f by at most n(n-1)/2 * tol in max-norm when this returns True.
+    """
     if tol < 0:
         raise ValueError("tol must be >= 0")
     if f.order == 0:
         return abs(complex(f.data).imag) <= tol
     if float(np.max(np.abs(f.data.imag))) > tol:
         return False
-    for perm in _permutation_group(f.order):
-        if float(np.max(np.abs(f.data - np.transpose(f.data, perm)))) > tol:
+    for i in range(f.order - 1):
+        if float(np.max(np.abs(f.data - np.swapaxes(f.data, i, i + 1)))) > tol:
             return False
     return True
 
@@ -473,6 +480,11 @@ def kernel_to_bytes(f: Kernel) -> bytes:
 
 
 def kernel_from_bytes(buf: bytes) -> Kernel:
+    """Inverse of kernel_to_bytes; any malformed record raises ValueError."""
+    if len(buf) < _HEADER.size:
+        raise ValueError(
+            f"record length {len(buf)} is shorter than the {_HEADER.size}-byte header"
+        )
     magic, version, total_length, cells, order = _HEADER.unpack_from(buf, 0)
     if magic != _MAGIC:
         raise ValueError("not a kernel record")
@@ -510,8 +522,16 @@ def kernel_to_json(f: Kernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> Kernel:
-    grid = GridSpec(obj["total_length"], obj["cells"])
-    data = np.array(obj["re"], dtype=np.float64) + 1j * np.array(
-        obj["im"], dtype=np.float64
-    )
-    return Kernel(grid, obj["order"], data)
+    """Inverse of kernel_to_json; any malformed record raises ValueError."""
+    try:
+        grid = GridSpec(obj["total_length"], obj["cells"])
+        order = obj["order"]
+        re = np.array(obj["re"], dtype=np.float64)
+        im = np.array(obj["im"], dtype=np.float64)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed kernel record: {exc!r}") from None
+    if re.shape != im.shape:
+        raise ValueError(f"re has shape {re.shape} but im has shape {im.shape}")
+    data = re.astype(np.complex128)
+    data.imag = im  # re + 1j * im would warn on an infinite im
+    return Kernel(grid, order, data)

@@ -43,12 +43,8 @@ from wignerchaos.chaos import (
     trace,
     trace_of_product,
 )
-from wignerchaos.cli import (
-    _counterexample_summand_norm2,
-    counterexample_kernel,
-    random_symmetric_unit_kernel,
-)
-from wignerchaos.gradient import bound_report, main_bound_lhs
+from wignerchaos.cli import counterexample_kernel, random_symmetric_unit_kernel
+from wignerchaos.gradient import _slice_pair_form, bound_report, main_bound_lhs
 from wignerchaos.grid_kernel import (
     GridSpec,
     Kernel,
@@ -102,7 +98,8 @@ def test_acceptance_2_counterexample_regression():
         f = counterexample_kernel(N)
         nsq = inner(f, f).real
         gap = fourth_moment_gap(f)
-        summand = _counterexample_summand_norm2(f)
+        # the (k, q) = (2, 2) slice-pair term of the gradient quadratic form
+        summand = norm2(_slice_pair_form(f, 2, 2))
         lhs = main_bound_lhs(3, f)
         if abs(nsq - 1.0) > 1e-9:
             failures.append(f"N={N}: ||f||^2 = {nsq!r} != 1")

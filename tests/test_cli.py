@@ -19,7 +19,10 @@ from wignerchaos.grid_kernel import (
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses a bad flag
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -181,3 +184,31 @@ def test_config_file_unknown_key(tmp_path, capsys):
 def test_tol_echoed_in_header(capsys):
     _, out, _ = run(capsys, "--tol", "1e-7", "constants", "--n-max", "3")
     assert "tol=1e-07" in out.splitlines()[1]
+
+
+@pytest.mark.parametrize(
+    "line, subcommand",
+    [("format=xml", "constants"), ("m=16,x", "breuer-major"), ("trials=-1", "bound-check")],
+)
+def test_bad_config_value_exits_two_at_its_line(tmp_path, capsys, line, subcommand):
+    # config values go through the same converters as flags
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# comment\n{line}\n")
+    code, out, err = run(capsys, "--config", str(cfg), subcommand)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cfg}:2: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--tol", "nan", "counterexample"),
+        ("--tol", "-1", "constants"),
+        ("bound-check", "--trials", "-3"),
+    ],
+)
+def test_bad_flag_value_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error: argument --" in err

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -133,6 +134,22 @@ def test_is_symmetric_and_symmetrize():
         for p in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     ) / 6.0
     assert np.allclose(s.data, manual)
+    # order 6: adjacent swaps detect a single perturbed entry
+    s6 = symmetrize(rand(6, cells=2, seed=10, complex_=False))
+    assert is_symmetric(s6)
+    d6 = s6.data.copy()
+    d6[1, 0, 0, 0, 0, 0] += 1e-6
+    assert not is_symmetric(Kernel(s6.grid, 6, d6))
+    # order 3, antisymmetric under the non-adjacent swap of axes 0 and 2
+    # only: that swap moves it by 2, each adjacent swap by 1
+    d3 = np.zeros((2, 2, 2))
+    d3[0, :, 1], d3[1, :, 0] = 1.0, -1.0
+    f3 = Kernel(GridSpec(1.0, 2), 3, d3)
+    assert not is_symmetric(f3)
+    assert np.max(np.abs(d3 - np.swapaxes(d3, 0, 2))) == 2.0
+    # at tol = 1 only the adjacent swaps are tested; the outer swap stays
+    # within the documented bound n(n-1)/2 * tol = 3
+    assert is_symmetric(f3, tol=1.0)
 
 
 def test_symmetrize_warns_on_complex_and_rejects_high_order():
@@ -281,6 +298,43 @@ def test_binary_rejects_huge_order_header_before_allocating():
         buf = struct.pack("<4sHdQQ", b"WGKR", 1, 1.0, cells, order) + bytes(16)
         with pytest.raises(MemoryCapError):
             kernel_from_bytes(buf)
+
+
+def test_binary_rejects_truncated_oversized_and_nonfinite_records():
+    buf = kernel_to_bytes(rand(3, cells=2, seed=31))
+    header = struct.calcsize("<4sHdQQ")
+    bad = [buf[:cut] for cut in range(len(buf))]  # every truncation
+    bad.append(buf + bytes(16))  # one entry too many
+    for total_length in (math.nan, math.inf, -1.0, 0.0):
+        bad.append(struct.pack("<4sHdQQ", b"WGKR", 1, total_length, 2, 3) + buf[header:])
+    for entry in (math.nan, math.inf):
+        payload = bytearray(buf)
+        payload[header + 16 : header + 24] = struct.pack("<d", entry)
+        bad.append(bytes(payload))
+    for record in bad:
+        with pytest.raises(ValueError):
+            kernel_from_bytes(record)
+
+
+def test_json_rejects_malformed_records():
+    good = kernel_to_json(rand(2, cells=2, seed=32))
+    bad = [{k: v for k, v in good.items() if k != key} for key in good]
+    for key, values in {
+        "order": ("2", 2.0, True, None, -1),
+        "cells": ("2", 2.0, True, None, 0),
+        "total_length": ("1", None, math.nan, math.inf, 0.0),
+        "re": (good["re"][:-1], good["re"] + [0.0], [[0.0]], "x", {"a": 1}),
+        "im": (good["im"][:1], good["im"] + [0.0], None),
+    }.items():
+        bad += [{**good, key: value} for value in values]
+    for key in ("re", "im"):
+        for entry in (math.nan, math.inf):
+            bad.append({**good, key: [entry] + good[key][1:]})
+    bad.append(json.loads(json.dumps({**good, "re": [math.nan] * 4})))
+    bad += [[], None, "record"]
+    for record in bad:
+        with pytest.raises(ValueError):
+            kernel_from_json(record)
 
 
 def test_json_rejects_huge_order_before_allocating():
