@@ -18,8 +18,6 @@ here, which is why downstream bounds go through Cauchy-Schwarz.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .grid_kernel import (
     GridSpec,
     Kernel,
@@ -27,11 +25,12 @@ from .grid_kernel import (
     adjoint_split,
     bicontract,
     constant_kernel,
+    contract,
     inner,
     kernel_from_json,
     kernel_to_json,
 )
-from .chaos import PRUNE_TOL, ChaosElement
+from .chaos import ChaosElement
 
 __all__ = [
     "BiChaosElement",
@@ -48,7 +47,7 @@ __all__ = [
 
 
 class BiChaosElement:
-    """Finite sum of bi-integrals, one split kernel per leg split (a, b)."""
+    """Finite sum of bi-integrals, one nonzero split kernel per leg split (a, b)."""
 
     __slots__ = ("grid", "coeffs")
 
@@ -59,9 +58,7 @@ class BiChaosElement:
                 raise ValueError(f"kernel split {w.split} stored at {split}")
             if w.kernel.grid != grid:
                 raise ValueError("all kernels must share the element's grid")
-            data = w.kernel.data
-            m = abs(complex(data)) if w.order == 0 else float(np.max(np.abs(data)))
-            if m >= PRUNE_TOL:
+            if w.kernel.data.any():
                 pruned[split] = w
         self.grid = grid
         self.coeffs = pruned
@@ -83,13 +80,8 @@ class BiChaosElement:
             return NotImplemented
         if other.grid != self.grid:
             raise ValueError("grid mismatch")
-        out = dict(self.coeffs)
-        for split, w in other.coeffs.items():
-            if split in out:
-                out[split] = SplitKernel(out[split].kernel + w.kernel, split)
-            else:
-                out[split] = w
-        return BiChaosElement(self.grid, out)
+        terms = [*self.coeffs.values(), *other.coeffs.values()]
+        return _sum_by_split(self.grid, terms)
 
     def __sub__(self, other):
         if not isinstance(other, BiChaosElement):
@@ -110,6 +102,27 @@ class BiChaosElement:
         return (-1.0) * self
 
 
+def _sum_by_split(grid: GridSpec, terms) -> BiChaosElement:
+    """The element of split kernels on grid, those of equal split summed left to right.
+
+    A split reached once keeps its SplitKernel object; a repeated split is
+    summed into one array owned here and wrapped once at the end.
+    """
+    coeffs: dict[tuple[int, int], SplitKernel] = {}
+    sums = {}  # split -> summed array
+    for w in terms:
+        split = w.split
+        if split in sums:
+            sums[split] += w.kernel.data
+        elif split in coeffs:
+            sums[split] = coeffs[split].kernel.data + w.kernel.data
+        else:
+            coeffs[split] = w
+    for split, data in sums.items():
+        coeffs[split] = SplitKernel(Kernel(grid, sum(split), data), split)
+    return BiChaosElement(grid, coeffs)
+
+
 def from_split_kernel(w: SplitKernel) -> BiChaosElement:
     return BiChaosElement(w.kernel.grid, {w.split: w})
 
@@ -124,32 +137,26 @@ def tensor(A: ChaosElement, B: ChaosElement) -> BiChaosElement:
     """Separable element A (x) B from two chaos expansions."""
     if A.grid != B.grid:
         raise ValueError("grid mismatch")
-    out: dict[tuple[int, int], SplitKernel] = {}
-    for a, f in A.coeffs.items():
-        for b, g in B.coeffs.items():
-            prod = np.tensordot(f.data, g.data, axes=0)
-            w = SplitKernel(Kernel(A.grid, a + b, prod), (a, b))
-            key = (a, b)
-            out[key] = SplitKernel(out[key].kernel + w.kernel, key) if key in out else w
-    return BiChaosElement(A.grid, out)
+    coeffs = {
+        (a, b): SplitKernel(contract(f, g, 0), (a, b))
+        for a, f in A.coeffs.items()
+        for b, g in B.coeffs.items()
+    }
+    return BiChaosElement(A.grid, coeffs)
 
 
 def sharp_multiply(X: BiChaosElement, Y: BiChaosElement) -> BiChaosElement:
     """Bilinear extension of the biproduct formula."""
     if X.grid != Y.grid:
         raise ValueError("grid mismatch")
-    out: dict[tuple[int, int], SplitKernel] = {}
-    for (n1, m1), w in X.coeffs.items():
-        for (n2, m2), v in Y.coeffs.items():
-            for p in range(min(n1, n2) + 1):
-                for r in range(min(m1, m2) + 1):
-                    term = bicontract(w, v, p, r)
-                    key = term.split
-                    if key in out:
-                        out[key] = SplitKernel(out[key].kernel + term.kernel, key)
-                    else:
-                        out[key] = term
-    return BiChaosElement(X.grid, out)
+    terms = (
+        bicontract(w, v, p, r)
+        for (n1, m1), w in X.coeffs.items()
+        for (n2, m2), v in Y.coeffs.items()
+        for p in range(min(n1, n2) + 1)
+        for r in range(min(m1, m2) + 1)
+    )
+    return _sum_by_split(X.grid, terms)
 
 
 def adjoint(X: BiChaosElement) -> BiChaosElement:
@@ -188,6 +195,8 @@ def bichaos_to_json(X: BiChaosElement) -> dict:
 
 
 def bichaos_from_json(obj: dict) -> BiChaosElement:
+    if not isinstance(obj, dict):
+        raise ValueError(f"element record must be an object, not {type(obj).__name__}")
     coeffs = {}
     for key, rec in obj.items():
         a, b = (int(part) for part in key.split(","))

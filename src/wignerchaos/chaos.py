@@ -30,7 +30,6 @@ from .grid_kernel import (
 
 __all__ = [
     "ChaosElement",
-    "PRUNE_TOL",
     "adjoint",
     "chaos_from_json",
     "chaos_to_json",
@@ -45,9 +44,6 @@ __all__ = [
     "trace_of_product",
 ]
 
-#: Kernels with max-norm below this are dropped (canonical form).
-PRUNE_TOL = 1e-14
-
 #: Total-order guard for the non-crossing pairing enumeration.
 ORACLE_MAX_ORDER = 10
 
@@ -55,8 +51,8 @@ ORACLE_MAX_ORDER = 10
 class ChaosElement:
     """Finite sum of Wigner integrals, one kernel per chaos order.
 
-    coeffs maps order n >= 0 to an order-n Kernel; numerically zero kernels
-    are pruned on construction so equal elements have equal support.
+    coeffs maps order n >= 0 to an order-n Kernel; exactly zero kernels are
+    pruned on construction, so the support does not depend on the scale.
     """
 
     __slots__ = ("grid", "coeffs")
@@ -68,8 +64,7 @@ class ChaosElement:
                 raise ValueError(f"kernel of order {f.order} stored at order {n}")
             if f.grid != grid:
                 raise ValueError("all kernels must share the element's grid")
-            m = abs(complex(f.data)) if n == 0 else float(np.max(np.abs(f.data)))
-            if m >= PRUNE_TOL:
+            if f.data.any():
                 pruned[n] = f
         self.grid = grid
         self.coeffs = pruned
@@ -91,10 +86,8 @@ class ChaosElement:
             return NotImplemented
         if other.grid != self.grid:
             raise ValueError("grid mismatch")
-        out = dict(self.coeffs)
-        for n, f in other.coeffs.items():
-            out[n] = out[n] + f if n in out else f
-        return ChaosElement(self.grid, out)
+        terms = [*self.coeffs.values(), *other.coeffs.values()]
+        return _sum_by_order(self.grid, terms)
 
     def __sub__(self, other):
         if not isinstance(other, ChaosElement):
@@ -115,6 +108,27 @@ class ChaosElement:
         return (-1.0) * self
 
 
+def _sum_by_order(grid: GridSpec, kernels) -> ChaosElement:
+    """The element of kernels on grid, those of equal order summed left to right.
+
+    An order reached once keeps its Kernel object; a repeated order is summed
+    into one array owned here and wrapped in a Kernel once at the end.
+    """
+    coeffs: dict[int, Kernel] = {}
+    sums = {}  # order -> summed array
+    for f in kernels:
+        n = f.order
+        if n in sums:
+            sums[n] += f.data
+        elif n in coeffs:
+            sums[n] = coeffs[n].data + f.data
+        else:
+            coeffs[n] = f
+    for n, data in sums.items():
+        coeffs[n] = Kernel(grid, n, data)
+    return ChaosElement(grid, coeffs)
+
+
 def from_kernel(n: int, f: Kernel) -> ChaosElement:
     """The single integral I_n(f)."""
     if f.order != n:
@@ -131,14 +145,13 @@ def multiply(X: ChaosElement, Y: ChaosElement) -> ChaosElement:
     """Product via the bilinear extension of the product formula."""
     if X.grid != Y.grid:
         raise ValueError("grid mismatch")
-    out: dict[int, Kernel] = {}
-    for n, f in X.coeffs.items():
-        for m, g in Y.coeffs.items():
-            for p in range(min(n, m) + 1):
-                term = contract(f, g, p)
-                k = n + m - 2 * p
-                out[k] = out[k] + term if k in out else term
-    return ChaosElement(X.grid, out)
+    terms = (
+        contract(f, g, p)
+        for n, f in X.coeffs.items()
+        for m, g in Y.coeffs.items()
+        for p in range(min(n, m) + 1)
+    )
+    return _sum_by_order(X.grid, terms)
 
 
 def adjoint(X: ChaosElement) -> ChaosElement:
@@ -342,6 +355,8 @@ def chaos_to_json(X: ChaosElement) -> dict:
 
 
 def chaos_from_json(obj: dict) -> ChaosElement:
+    if not isinstance(obj, dict):
+        raise ValueError(f"element record must be an object, not {type(obj).__name__}")
     coeffs = {int(n): kernel_from_json(rec) for n, rec in obj.items()}
     if not coeffs:
         raise ValueError("empty element record has no grid")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -435,7 +436,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _emit(cfg, fields, rows, summary)
+    try:
+        _emit(cfg, fields, rows, summary)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: send the interpreter's final flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     for failure in failures:
         print(f"ASSERTION FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0

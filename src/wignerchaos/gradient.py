@@ -25,17 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import bounds
-from .bichaos import BiChaosElement, norm2, one_tensor_one
+from .bichaos import BiChaosElement, _sum_by_split, norm2, one_tensor_one
 from .chaos import (
     ChaosElement,
     _contraction_norms2,
     _require_gap_input,
 )
 from .grid_kernel import (
-    GridSpec,
     Kernel,
     SplitKernel,
     adjoint_split,
@@ -61,11 +58,7 @@ def gradient(n: int, f: Kernel, s: int) -> BiChaosElement:
     """grad_s I_n(f) as a sum of bi-integrals of argument slices."""
     if n < 1 or f.order != n:
         raise ValueError("gradient needs f of order n >= 1")
-    terms = {}
-    for k in range(1, n + 1):
-        w = slice_kernel(f, k, s)
-        terms[w.split] = w
-    return BiChaosElement(f.grid, terms)
+    return _sum_by_split(f.grid, (slice_kernel(f, k, s) for k in range(1, n + 1)))
 
 
 def number_inverse(X: ChaosElement) -> ChaosElement:
@@ -75,51 +68,30 @@ def number_inverse(X: ChaosElement) -> ChaosElement:
     )
 
 
-def _fold_slice_pair(
-    acc: dict[tuple[int, int], np.ndarray], left: SplitKernel, right: SplitKernel
-) -> None:
-    """Add h * sum_s (left sliced at cell s) # (right sliced at cell s)* to acc.
+def _fold_slice_pair(left: SplitKernel, right: SplitKernel):
+    """Yield the terms of h * sum_s (left sliced at cell s) # (right sliced at s)*.
 
     left is a kernel in the split (k, n-k), sliced at argument k; right is
     the blockwise adjoint of a kernel in the split (j, m-j), sliced at
     argument j (see gradient_quadratic_form for why bicontract's p-pair
-    term is the slices' (p-1)-pair term summed over s).  Terms are
-    accumulated by output split as raw arrays.
+    term is the slices' (p-1)-pair term summed over s).
     """
     (k, a), (j, b) = left.split, right.split
     for p in range(1, min(k, j) + 1):
         for r in range(min(a, b) + 1):
-            term = bicontract(left, right, p, r)
-            key, data = term.split, term.kernel.data
-            acc[key] = acc[key] + data if key in acc else data
-
-
-def _bichaos_from_arrays(
-    grid: GridSpec, acc: dict[tuple[int, int], np.ndarray]
-) -> BiChaosElement:
-    return BiChaosElement(
-        grid,
-        {
-            split: SplitKernel(Kernel(grid, sum(split), data), split)
-            for split, data in acc.items()
-        },
-    )
+            yield bicontract(left, right, p, r)
 
 
 def _slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
     """h * sum_s (f sliced at argument k, cell s) # (f sliced at j, cell s)*."""
     n = f.order
-    acc: dict[tuple[int, int], np.ndarray] = {}
-    _fold_slice_pair(
-        acc, SplitKernel(f, (k, n - k)), adjoint_split(SplitKernel(f, (j, n - j)))
-    )
-    return _bichaos_from_arrays(f.grid, acc)
+    left = SplitKernel(f, (k, n - k))
+    right = adjoint_split(SplitKernel(f, (j, n - j)))
+    return _sum_by_split(f.grid, _fold_slice_pair(left, right))
 
 
-def gradient_quadratic_form(
-    n: int, f: Kernel, apply_number_inverse: bool
-) -> BiChaosElement:
-    """h * sum_s grad_s(L) # (grad_s f)* with L = f/n (or f), the cell sum folded.
+def gradient_quadratic_form(n: int, f: Kernel) -> BiChaosElement:
+    """h * sum_s grad_s(L) # (grad_s f)* with L = N0^{-1} f = f/n, the cell sum folded.
 
     Slicing argument k of L and argument j of f at the same cell s and
     summing over s with weight h is one more nested contracted pair, so
@@ -137,19 +109,16 @@ def gradient_quadratic_form(
     """
     if n < 1 or f.order != n:
         raise ValueError("gradient_quadratic_form needs f of order n >= 1")
-    left_kernel = f * (1.0 / n) if apply_number_inverse else f
+    left_kernel = f * (1.0 / n)
     lefts = [SplitKernel(left_kernel, (k, n - k)) for k in range(1, n + 1)]
     rights = [adjoint_split(SplitKernel(f, (j, n - j))) for j in range(1, n + 1)]
-    acc: dict[tuple[int, int], np.ndarray] = {}
-    for left in lefts:
-        for right in rights:
-            _fold_slice_pair(acc, left, right)
-    return _bichaos_from_arrays(f.grid, acc)
+    terms = (t for a in lefts for b in rights for t in _fold_slice_pair(a, b))
+    return _sum_by_split(f.grid, terms)
 
 
 def main_bound_lhs(n: int, f: Kernel) -> float:
     """Squared bi-norm of the quadratic form minus 1 (x) 1."""
-    Q = gradient_quadratic_form(n, f, apply_number_inverse=True)
+    Q = gradient_quadratic_form(n, f)
     return norm2(Q - one_tensor_one(f.grid))
 
 

@@ -134,3 +134,17 @@ def test_json_roundtrip():
     Y = bichaos_from_json(bichaos_to_json(X))
     assert biclose(X, Y, 0.0)
     assert Y.splits == X.splits
+
+
+@pytest.mark.parametrize("record", [[], "x", None])
+def test_json_rejects_non_object_records(record):
+    with pytest.raises(ValueError):
+        bichaos_from_json(record)
+
+
+def test_construction_prunes_only_exact_zeros():
+    zero = SplitKernel(Kernel(GRID, 2, np.zeros((3, 3))), (1, 1))
+    tiny = SplitKernel(Kernel(GRID, 2, np.full((3, 3), 1e-16)), (2, 0))
+    X = BiChaosElement(GRID, {(1, 1): zero, (2, 0): tiny})
+    assert X.splits == ((2, 0),)
+    assert (X - X).splits == ()

@@ -22,6 +22,7 @@ from wignerchaos.grid_kernel import (
     Kernel,
     adjoint as kernel_adjoint,
     cell_indicator,
+    constant_kernel,
     contract,
     inner,
     symmetrize,
@@ -54,11 +55,31 @@ def close(X, Y, tol=1e-9):
     return all(float(np.abs(k.data).max()) <= tol for k in D.coeffs.values())
 
 
-def test_construction_prunes_negligible_orders():
-    tiny = Kernel(GRID, 1, np.full(3, 1e-16))
-    big = Kernel(GRID, 2, np.ones((3, 3)))
-    X = ChaosElement(GRID, {1: tiny, 2: big})
+def test_construction_prunes_only_exact_zeros():
+    zero_scalar = constant_kernel(GRID, 0.0)
+    zero = Kernel(GRID, 1, np.zeros(3))
+    tiny = Kernel(GRID, 2, np.full((3, 3), 1e-16))
+    X = ChaosElement(GRID, {0: zero_scalar, 1: zero, 2: tiny})
     assert X.orders == (2,)
+    assert (X - X).orders == ()
+
+
+def test_add_keeps_kernels_of_unshared_orders():
+    X, Y = rand_element(1, orders=(0, 1)), rand_element(2, orders=(1, 2))
+    S = X + Y
+    assert S.coeffs[0] is X.coeffs[0] and S.coeffs[2] is Y.coeffs[2]
+    assert np.array_equal(S.coeffs[1].data, X.coeffs[1].data + Y.coeffs[1].data)
+
+
+def test_moments_and_canonical_form_are_scale_invariant():
+    f = rand_kernel(2, 97)
+    f = 0.5 * (f + kernel_adjoint(f))
+    for k in (2, 4):
+        want = complex(moment(from_kernel(2, f), k))
+        for scale in (1e-12, 1e-7, 1.0, 1e7, 1e12):
+            got = complex(moment(from_kernel(2, scale * f), k)) / scale**k
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (k, scale)
+    assert from_kernel(2, 1e-15 * f).orders == (2,)
 
 
 def test_one_and_scalars():
@@ -212,3 +233,9 @@ def test_json_roundtrip():
     X = rand_element(99)
     Y = chaos_from_json(chaos_to_json(X))
     assert close(X, Y, 0.0)
+
+
+@pytest.mark.parametrize("record", [[], "x", None])
+def test_json_rejects_non_object_records(record):
+    with pytest.raises(ValueError):
+        chaos_from_json(record)

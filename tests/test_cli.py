@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wignerchaos
 from wignerchaos.cli import (
     counterexample_kernel,
     main,
@@ -212,3 +217,25 @@ def test_bad_flag_value_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "error: argument --" in err
+
+
+def test_closed_stdout_pipe_exits_zero_without_traceback():
+    # a reader that leaves early (`wignerchaos constants | head -1`) must not
+    # turn a passing run into exit 1, the status of a failed identity
+    src = str(Path(wignerchaos.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wignerchaos.cli", "constants", "--n-max", "5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert b"Traceback" not in proc.stderr

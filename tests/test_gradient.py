@@ -39,9 +39,9 @@ from wignerchaos.grid_kernel import (
 gradient_module = import_module("wignerchaos.gradient")
 
 
-def quadratic_form_by_cells(n, f, apply_number_inverse):
-    # the defining cell loop: h * sum_s grad_s(L) # (grad_s f)*
-    left_kernel = f * (1.0 / n) if apply_number_inverse else f
+def quadratic_form_by_cells(n, f):
+    # the defining cell loop: h * sum_s grad_s(N0^{-1} f) # (grad_s f)*
+    left_kernel = f * (1.0 / n)
     acc = None
     for s in range(f.grid.cells):
         left = gradient(n, left_kernel, s)
@@ -117,7 +117,7 @@ def test_number_inverse():
 def test_order_one_quadratic_form_is_identity():
     g = GridSpec(1.0, 4)
     e = cell_indicator(g, 2, normalized=True)
-    Q = gradient_quadratic_form(1, e, apply_number_inverse=True)
+    Q = gradient_quadratic_form(1, e)
     D = Q - one_tensor_one(g)
     err = max(
         (float(np.abs(w.kernel.data).max()) for w in D.coeffs.values()), default=0.0
@@ -126,12 +126,13 @@ def test_order_one_quadratic_form_is_identity():
     assert main_bound_lhs(1, e) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_bitrace_without_number_inverse_is_n():
+def test_bitrace_of_quadratic_form_is_one():
+    # the (0,0) slot is (1/n) * n * ||f||^2 for unit f
     for n in (2, 3):
         g = GridSpec(1.0, 3)
         f = random_symmetric_unit_kernel(g, n, seed=5, index=n)
-        Q = gradient_quadratic_form(n, f, apply_number_inverse=False)
-        assert complex(bitrace(Q)) == pytest.approx(n, abs=1e-10)
+        Q = gradient_quadratic_form(n, f)
+        assert complex(bitrace(Q)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_constant_slot_cancellation_is_monitored():
@@ -139,7 +140,7 @@ def test_constant_slot_cancellation_is_monitored():
     # 1 (x) 1 must leave at most rounding noise there
     g = GridSpec(1.0, 3)
     f = random_symmetric_unit_kernel(g, 3, seed=6, index=0)
-    Q = gradient_quadratic_form(3, f, apply_number_inverse=True)
+    Q = gradient_quadratic_form(3, f)
     D = Q - one_tensor_one(g)
     leftover = abs(complex(D.coeffs[(0, 0)].kernel.data)) if (0, 0) in D.coeffs else 0.0
     assert leftover <= 1e-10
@@ -238,13 +239,12 @@ def test_folded_quadratic_form_matches_cell_loop():
         for cells in (1, 2, 3, 4):
             g = GridSpec(1.5, cells)
             f = random_complex_kernel(g, n, seed=41, index=10 * n + cells)
-            for apply_number_inverse in (False, True):
-                Q = gradient_quadratic_form(n, f, apply_number_inverse)
-                R = quadratic_form_by_cells(n, f, apply_number_inverse)
-                assert Q.splits == R.splits, (n, cells, apply_number_inverse)
-                for split, w in R.coeffs.items():
-                    err = np.max(np.abs(Q.coeffs[split].kernel.data - w.kernel.data))
-                    assert err <= 1e-12, (n, cells, apply_number_inverse, split)
+            Q = gradient_quadratic_form(n, f)
+            R = quadratic_form_by_cells(n, f)
+            assert Q.splits == R.splits, (n, cells)
+            for split, w in R.coeffs.items():
+                err = np.max(np.abs(Q.coeffs[split].kernel.data - w.kernel.data))
+                assert err <= 1e-12, (n, cells, split)
 
 
 def test_quadratic_form_bicontract_calls_do_not_grow_with_cells(monkeypatch):
@@ -260,7 +260,7 @@ def test_quadratic_form_bicontract_calls_do_not_grow_with_cells(monkeypatch):
     for cells in (2, 6):
         f = random_complex_kernel(GridSpec(1.0, cells), 3, seed=43, index=cells)
         calls.clear()
-        gradient_quadratic_form(3, f, apply_number_inverse=True)
+        gradient_quadratic_form(3, f)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
