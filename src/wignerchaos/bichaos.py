@@ -22,6 +22,8 @@ from .grid_kernel import (
     GridSpec,
     Kernel,
     SplitKernel,
+    _element_record,
+    _read_element_record,
     adjoint_split,
     bicontract,
     constant_kernel,
@@ -189,19 +191,16 @@ def norm2(X: BiChaosElement) -> float:
 # ---------------------------------------------------------------------------
 
 def bichaos_to_json(X: BiChaosElement) -> dict:
-    return {
-        f"{a},{b}": kernel_to_json(w.kernel) for (a, b), w in X.coeffs.items()
-    }
+    return _element_record(
+        X.grid,
+        {f"{a},{b}": kernel_to_json(w.kernel) for (a, b), w in X.coeffs.items()},
+    )
 
 
 def bichaos_from_json(obj: dict) -> BiChaosElement:
-    if not isinstance(obj, dict):
-        raise ValueError(f"element record must be an object, not {type(obj).__name__}")
+    grid, records = _read_element_record(obj)
     coeffs = {}
-    for key, rec in obj.items():
+    for key, rec in records.items():
         a, b = (int(part) for part in key.split(","))
         coeffs[(a, b)] = SplitKernel(kernel_from_json(rec), (a, b))
-    if not coeffs:
-        raise ValueError("empty element record has no grid")
-    grid = next(iter(coeffs.values())).kernel.grid
     return BiChaosElement(grid, coeffs)

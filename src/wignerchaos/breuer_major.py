@@ -13,15 +13,26 @@ and the fourth-moment gap of g measures the distance to the semicircular
 limit.  The gap admits an exact Gram-matrix expression that never builds
 the order-n kernel, which is what makes the large-m rate fits cheap:
 
-    ||g contract_u g||^2 ~ tr((A_u B_u)^2),  A_u = R^u, B_u = R^(n-u)
+    ||g contract_u g||^2 ~ tr(A_u B_u A_u B_u),  A_u = R^u, B_u = R^(n-u)
 
-with R the covariance matrix and the powers taken entrywise.
+with R the covariance matrix and the powers taken entrywise.  Three exact
+identities cut the work of that sum:
+
+* u <-> n-u fold: tr(ABAB) = tr(BABA), so only u <= n/2 is computed, with
+  weight 2 unless 2u = n;
+* centrosymmetric split: A and B are symmetric Toeplitz, hence commute
+  with the exchange matrix J.  In the basis of J-even and J-odd vectors
+  both are block diagonal with blocks of sizes ceil(m/2) and floor(m/2),
+  so tr(ABAB) is the sum of the traces of the two half-size blocks;
+* the exact variance sum R^n = m r_0^n + 2 sum_d (m-d) r_d^n is an O(m)
+  sum over lags.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +79,16 @@ class BMConfig:
             raise ValueError("truncation must be >= 1")
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
+
+    @cached_property
+    def limit_variance(self) -> float:
+        """sigma2(n, H, truncation), computed once per configuration.
+
+        A rate sweep needs it for every m under asymptotic_sigma and once
+        more for its report; at the default truncation each evaluation
+        sums 10^5 powers.
+        """
+        return sigma2(self.n, self.H, self.truncation)
 
 
 @dataclass(frozen=True)
@@ -139,10 +160,54 @@ def sigma2_tail_bound(n: int, H: float, K: int) -> float:
     return 2.0 * a**n * K**(-decay) / decay
 
 
-def _covariance_matrix(H: float, m: int) -> np.ndarray:
-    r = _rho_vector(H, m)
-    idx = np.arange(m)
-    return r[np.abs(idx[:, None] - idx[None, :])]
+def _toeplitz(r: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix r[|i - j|], as a read-only strided view.
+
+    Row i is the window c[m-1-i : 2m-1-i] of c = (r_{m-1}, ..., r_1, r_0,
+    r_1, ..., r_{m-1}); reversing the rows gives the Hankel matrix
+    r[|i + j - (m-1)|] as a view of the same buffer.
+    """
+    c = np.concatenate((r[:0:-1], r))
+    return np.lib.stride_tricks.sliding_window_view(c, len(r))[::-1]
+
+
+def _centrosymmetric_blocks(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The J-even and J-odd diagonal blocks of the Toeplitz matrix T = r[|i - j|].
+
+    With p = m // 2 and h = m - p, the J-even vectors have the basis
+    e_j + e_{m-1-j} (j < p), plus e_p when m is odd, and the J-odd ones
+    e_j - e_{m-1-j} (j < p).  T maps each space to itself, with matrices
+    T[:h, :h] +/- T[:h, ::-1][:, :h] (the middle column taken once), so a
+    product of such matrices has the trace of the two block products.
+    """
+    m = len(r)
+    p = m // 2
+    h = m - p
+    T = _toeplitz(r)
+    hankel = T[::-1]
+    even = T[:h, :h] + hankel[:h, :h]
+    if h > p:
+        even[:, p] *= 0.5  # e_p is its own mirror: T[:, p] was added twice
+    odd = T[:p, :p] - hankel[:p, :p]
+    return even, odd
+
+
+def _cholesky_factor(H: float, m: int) -> np.ndarray:
+    """Lower Cholesky factor L of the covariance: row k of L is increment k.
+
+    A small diagonal jitter is tried before giving up on non-PSD input.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    cov = _toeplitz(_rho_vector(H, m))
+    for jitter in (0.0, 1e-12, 1e-10, 1e-8):
+        try:
+            return np.linalg.cholesky(cov + jitter * np.eye(m))
+        except np.linalg.LinAlgError:
+            continue
+    raise np.linalg.LinAlgError(
+        f"covariance for H={H}, m={m} is not positive semidefinite"
+    )
 
 
 def increment_kernels(H: float, m: int) -> list[Kernel]:
@@ -150,22 +215,8 @@ def increment_kernels(H: float, m: int) -> list[Kernel]:
 
     Rows of the Cholesky factor of the Toeplitz covariance; their inner
     products reproduce rho_H(|i-j|) exactly up to factorization rounding.
-    A small diagonal jitter is tried before giving up on non-PSD input.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    cov = _covariance_matrix(H, m)
-    L = None
-    for jitter in (0.0, 1e-12, 1e-10, 1e-8):
-        try:
-            L = np.linalg.cholesky(cov + jitter * np.eye(m))
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if L is None:
-        raise np.linalg.LinAlgError(
-            f"covariance for H={H}, m={m} is not positive semidefinite"
-        )
+    L = _cholesky_factor(H, m)
     grid = GridSpec(float(m), m)
     return [Kernel(grid, 1, L[i, :]) for i in range(m)]
 
@@ -183,23 +234,25 @@ def chebyshev_U(n: int, x: float) -> float:
 
 
 def vm_kernel(cfg: BMConfig, m: int) -> Kernel:
-    """The order-n kernel of the normalized Chebyshev sum at sample size m."""
+    """The order-n kernel of the normalized Chebyshev sum at sample size m.
+
+    The unnormalized kernel sum_k L[k]^{(x) n} is one matrix product
+    K^T L, where L is the Cholesky factor (row k is increment k) and row k
+    of K is the (n-1)-fold Kronecker power of L[k]; for n = 2 it is L^T L.
+    """
     if m not in cfg.m_list:
         raise ValueError(f"m={m} is not in the configured m_list")
     _require_capacity(m, cfg.n)
-    rows = np.array([k.data.real for k in increment_kernels(cfg.H, m)])
-    grid = GridSpec(float(m), m)
-    raw = np.zeros((m,) * cfg.n)
-    for k in range(m):
-        term = rows[k]
-        for _ in range(cfg.n - 1):
-            term = np.multiply.outer(term, rows[k])
-        raw += term
-    kern = Kernel(grid, cfg.n, raw)
+    L = _cholesky_factor(cfg.H, m)
+    K = L
+    for _ in range(cfg.n - 2):
+        K = (K[:, :, None] * L[:, None, :]).reshape(m, -1)
+    raw = (K.T @ L).reshape((m,) * cfg.n)
+    kern = Kernel(GridSpec(float(m), m), cfg.n, raw)
     if cfg.normalization == "exact_variance":
         scale = 1.0 / norm(kern)
     else:
-        s2 = sigma2(cfg.n, cfg.H, cfg.truncation)
+        s2 = cfg.limit_variance
         if s2 <= 0:
             raise ValueError(f"nonpositive limit variance sigma^2={s2}")
         scale = 1.0 / (math.sqrt(s2) * math.sqrt(m))
@@ -212,21 +265,39 @@ def gap_fast(cfg: BMConfig, m: int) -> float:
     For g = c sum_k f_k^{(x) n} the contraction norms reduce to traces of
     products of entrywise powers of the covariance matrix R:
 
-        ||g contract_u g||^2 = c^4 tr((R^u R^(n-u))^2)   (entrywise powers),
+        gap = sum_{u=1}^{n-1} tr(A_u B_u A_u B_u) / V^2,
+        A_u = R^u, B_u = R^(n-u)   (entrywise powers),
 
-    so no order-n tensor is ever formed.  Matches the dense path wherever
-    the dense kernel fits in memory.
+    with V = sum(R^n) (exact_variance) or sigma^2 m (asymptotic_sigma), so
+    no order-n tensor is ever formed.  Three exact identities make it
+    cheap:
+
+    * fold: the terms u and n-u are equal (tr(ABAB) = tr(BABA)), so only
+      u <= n/2 is summed, with weight 2 unless 2u = n;
+    * centrosymmetric split: A_u and B_u are symmetric Toeplitz, so in the
+      basis of J-even and J-odd vectors (J the exchange matrix) both are
+      block diagonal, and tr(ABAB) = tr((A_e B_e)^2) + tr((A_o B_o)^2)
+      with blocks of size ceil(m/2) and floor(m/2);
+    * variance: sum(R^n) = m r_0^n + 2 sum_{d=1}^{m-1} (m-d) r_d^n.
+
+    Together they do a quarter (n = 2) or less of the matrix-product work
+    of summing the dense products R^u @ R^(n-u) over every u.
     """
-    R = _covariance_matrix(cfg.H, m)
+    n = cfg.n
+    r = _rho_vector(cfg.H, m)
     if cfg.normalization == "exact_variance":
-        denom = float(np.sum(R**cfg.n)) ** 2
+        weights = np.arange(m - 1, 0, -1, dtype=np.float64)  # m - d, d = 1..m-1
+        variance = float(m * r[0] ** n + 2.0 * np.dot(weights, r[1:] ** n))
     else:
-        denom = sigma2(cfg.n, cfg.H, cfg.truncation) ** 2 * m**2
+        variance = cfg.limit_variance * m
+    blocks = {v: _centrosymmetric_blocks(r**v) for v in range(1, n)}
     total = 0.0
-    for u in range(1, cfg.n):
-        M = (R**u) @ (R ** (cfg.n - u))
-        total += float(np.sum(M * M.T))
-    return total / denom
+    for u in range(1, n // 2 + 1):
+        weight = 1.0 if 2 * u == n else 2.0
+        for a, b in zip(blocks[u], blocks[n - u]):
+            M = a @ b
+            total += weight * float(np.sum(M * M.T))
+    return total / variance**2
 
 
 def alpha(n: int, H: float) -> float:
@@ -272,6 +343,6 @@ def rate_fit(cfg: BMConfig) -> BMResult:
         slope_minus_two_alpha=slope - 2.0 * a,
         dc2_from_gap=dc2,
         slope_running=tuple(running),
-        sigma2_value=sigma2(cfg.n, cfg.H, cfg.truncation),
+        sigma2_value=cfg.limit_variance,
         sigma2_tail_bound=sigma2_tail_bound(cfg.n, cfg.H, cfg.truncation),
     )

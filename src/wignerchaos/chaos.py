@@ -18,6 +18,8 @@ import numpy as np
 from .grid_kernel import (
     GridSpec,
     Kernel,
+    _element_record,
+    _read_element_record,
     adjoint as kernel_adjoint,
     constant_kernel,
     contract,
@@ -351,14 +353,12 @@ def spectral_moments(g: Kernel, k_max: int) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 def chaos_to_json(X: ChaosElement) -> dict:
-    return {str(n): kernel_to_json(f) for n, f in X.coeffs.items()}
+    return _element_record(
+        X.grid, {str(n): kernel_to_json(f) for n, f in X.coeffs.items()}
+    )
 
 
 def chaos_from_json(obj: dict) -> ChaosElement:
-    if not isinstance(obj, dict):
-        raise ValueError(f"element record must be an object, not {type(obj).__name__}")
-    coeffs = {int(n): kernel_from_json(rec) for n, rec in obj.items()}
-    if not coeffs:
-        raise ValueError("empty element record has no grid")
-    grid = next(iter(coeffs.values())).grid
+    grid, records = _read_element_record(obj)
+    coeffs = {int(n): kernel_from_json(rec) for n, rec in records.items()}
     return ChaosElement(grid, coeffs)

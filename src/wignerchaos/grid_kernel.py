@@ -301,28 +301,37 @@ def kernels_close(f: Kernel, g: Kernel, rtol: float = RTOL, atol: float = ATOL) 
 
 
 def is_mirror_symmetric(f: Kernel, tol: float = 1e-9) -> bool:
-    """True iff f equals its adjoint within max-norm tol."""
+    """True iff max|f - f*| <= tol * max|f|.
+
+    The test is relative to the kernel, so it does not depend on the
+    overall scale of f (a unit kernel on a grid of length T has entries of
+    size about T^(-n/2)).
+    """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    return max_abs_diff(f, adjoint(f)) <= tol
+    return max_abs_diff(f, adjoint(f)) <= tol * float(np.max(np.abs(f.data)))
 
 
 def is_symmetric(f: Kernel, tol: float = 1e-9) -> bool:
     """True iff f is real and invariant under adjacent argument swaps, within tol.
 
-    Adjacent transpositions generate the symmetric group and every
-    permutation of n arguments is a product of at most n(n-1)/2 of them;
-    the max-norm is invariant under permutation, so any permutation moves
-    f by at most n(n-1)/2 * tol in max-norm when this returns True.
+    Every deviation (imaginary part, change under a swap) is compared in
+    max-norm with tol * max|f|, so the answer does not depend on the
+    overall scale of f.  Adjacent transpositions generate the symmetric
+    group and every permutation of n arguments is a product of at most
+    n(n-1)/2 of them; the max-norm is invariant under permutation, so any
+    permutation moves f by at most n(n-1)/2 * tol * max|f| when this
+    returns True.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
+    bound = tol * float(np.max(np.abs(f.data)))
     if f.order == 0:
-        return abs(complex(f.data).imag) <= tol
-    if float(np.max(np.abs(f.data.imag))) > tol:
+        return abs(complex(f.data).imag) <= bound
+    if float(np.max(np.abs(f.data.imag))) > bound:
         return False
     for i in range(f.order - 1):
-        if float(np.max(np.abs(f.data - np.swapaxes(f.data, i, i + 1)))) > tol:
+        if float(np.max(np.abs(f.data - np.swapaxes(f.data, i, i + 1)))) > bound:
             return False
     return True
 
@@ -535,3 +544,36 @@ def kernel_from_json(obj: dict) -> Kernel:
     data = re.astype(np.complex128)
     data.imag = im  # re + 1j * im would warn on an infinite im
     return Kernel(grid, order, data)
+
+
+def _element_record(grid: GridSpec, kernels: dict) -> dict:
+    """JSON record of an expansion: its grid, and kernel records under "kernels".
+
+    The grid sits at the top so that the zero element, which has no
+    kernels, still names its grid.
+    """
+    return {"total_length": grid.total_length, "cells": grid.cells, "kernels": kernels}
+
+
+def _read_element_record(obj) -> tuple[GridSpec, dict]:
+    """The grid and the kernel records of an expansion's JSON record.
+
+    Also reads the older record, which is the kernel records alone, keyed
+    by order or split; its grid is that of its first kernel record, so an
+    empty one has none.  Any malformed record raises ValueError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"element record must be an object, not {type(obj).__name__}")
+    if "kernels" in obj:
+        head, kernels = obj, obj["kernels"]
+    elif obj:
+        head, kernels = next(iter(obj.values())), obj
+    else:
+        raise ValueError("empty element record has no grid")
+    try:
+        grid = GridSpec(head["total_length"], head["cells"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed element record: {exc!r}") from None
+    if not isinstance(kernels, dict):
+        raise ValueError(f"kernels must be an object, not {type(kernels).__name__}")
+    return grid, kernels

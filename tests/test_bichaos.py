@@ -14,7 +14,7 @@ from wignerchaos.bichaos import (
     tensor,
 )
 from wignerchaos.chaos import ChaosElement, from_kernel, multiply
-from wignerchaos.grid_kernel import GridSpec, Kernel, SplitKernel, inner
+from wignerchaos.grid_kernel import GridSpec, Kernel, SplitKernel, inner, kernel_to_json
 
 GRID = GridSpec(1.0, 3)
 
@@ -140,6 +140,21 @@ def test_json_roundtrip():
 def test_json_rejects_non_object_records(record):
     with pytest.raises(ValueError):
         bichaos_from_json(record)
+
+
+def test_json_roundtrip_of_zero_element_and_older_records():
+    X = rand_bichaos(13)
+    D = X - X
+    assert not D.coeffs
+    Z = bichaos_from_json(bichaos_to_json(D))
+    assert Z.grid == GRID and not Z.coeffs
+    # older records hold only the kernel records, keyed by split
+    older = {f"{a},{b}": kernel_to_json(w.kernel) for (a, b), w in X.coeffs.items()}
+    Y = bichaos_from_json(older)
+    assert biclose(X, Y, 0.0)
+    assert Y.splits == X.splits
+    with pytest.raises(ValueError):
+        bichaos_from_json({})
 
 
 def test_construction_prunes_only_exact_zeros():

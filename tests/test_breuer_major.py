@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wignerchaos import breuer_major
 from wignerchaos.breuer_major import (
     BMConfig,
     alpha,
@@ -25,7 +26,37 @@ from wignerchaos.chaos import (
     spectral_moments,
     trace_of_product,
 )
-from wignerchaos.grid_kernel import GridSpec, Kernel, inner, is_mirror_symmetric
+from wignerchaos.grid_kernel import GridSpec, Kernel, inner, is_mirror_symmetric, norm
+
+
+def dense_gap(cfg, m):
+    """Oracle of gap_fast: dense Gram products R^u @ R^(n-u) over every u."""
+    lags = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    R = np.array([rho(cfg.H, k) for k in range(m)])[lags]
+    if cfg.normalization == "exact_variance":
+        denom = float(np.sum(R**cfg.n)) ** 2
+    else:
+        denom = sigma2(cfg.n, cfg.H, cfg.truncation) ** 2 * m**2
+    total = 0.0
+    for u in range(1, cfg.n):
+        M = (R**u) @ (R ** (cfg.n - u))
+        total += float(np.sum(M * M.T))
+    return total / denom
+
+
+def outer_sum_kernel(cfg, m):
+    """Oracle of vm_kernel: sum over increments k of f_k^{(x) n}, one outer product at a time."""
+    rows = [k.data.real for k in increment_kernels(cfg.H, m)]
+    raw = np.zeros((m,) * cfg.n)
+    for row in rows:
+        term = row
+        for _ in range(cfg.n - 1):
+            term = np.multiply.outer(term, row)
+        raw += term
+    kern = Kernel(GridSpec(float(m), m), cfg.n, raw)
+    if cfg.normalization == "exact_variance":
+        return kern * (1.0 / norm(kern))
+    return kern * (1.0 / (math.sqrt(sigma2(cfg.n, cfg.H, cfg.truncation)) * math.sqrt(m)))
 
 
 def test_rho_basic_values():
@@ -145,6 +176,51 @@ def test_gap_fast_matches_dense():
             nrm2 = inner(f, f).real
             dense = fourth_moment_gap(f / math.sqrt(nrm2)) * nrm2 * nrm2
             assert gap_fast(cfg, m) == pytest.approx(dense, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("H", [0.3, 0.7])
+@pytest.mark.parametrize("normalization", ["exact_variance", "asymptotic_sigma"])
+def test_gap_fast_matches_dense_gram_oracle(n, H, normalization):
+    # odd and even m: the centrosymmetric split has a middle row for odd m
+    for m in (1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 64):
+        cfg = BMConfig(
+            n=n, H=H, m_list=(m,), truncation=1000, normalization=normalization
+        )
+        want = dense_gap(cfg, m)
+        assert abs(gap_fast(cfg, m) - want) <= 1e-12 * want, (m, want)
+
+
+@pytest.mark.parametrize("normalization", ["exact_variance", "asymptotic_sigma"])
+def test_vm_kernel_matches_outer_product_oracle(normalization):
+    for n, sizes in ((2, (1, 2, 3, 8, 17, 64)), (3, (1, 2, 5, 12))):
+        for H in (0.3, 0.7):
+            cfg = BMConfig(
+                n=n, H=H, m_list=sizes, truncation=1000, normalization=normalization
+            )
+            for m in sizes:
+                got = vm_kernel(cfg, m).data
+                want = outer_sum_kernel(cfg, m).data
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, H, m)
+
+
+def test_rate_fit_evaluates_sigma2_once(monkeypatch):
+    calls = []
+    real = breuer_major.sigma2
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(breuer_major, "sigma2", counted)
+    cfg = BMConfig(
+        n=2, H=0.3, m_list=(16, 32, 64, 128), normalization="asymptotic_sigma"
+    )
+    res = rate_fit(cfg)
+    assert len(calls) == 1
+    assert res.sigma2_value == real(2, 0.3, cfg.truncation)
+    assert res.gaps[0] == gap_fast(cfg, 16)
 
 
 def test_gap_decreasing_in_m():

@@ -25,6 +25,7 @@ from wignerchaos.grid_kernel import (
     constant_kernel,
     contract,
     inner,
+    kernel_to_json,
     symmetrize,
 )
 
@@ -237,5 +238,33 @@ def test_json_roundtrip():
 
 @pytest.mark.parametrize("record", [[], "x", None])
 def test_json_rejects_non_object_records(record):
+    with pytest.raises(ValueError):
+        chaos_from_json(record)
+
+
+def test_json_roundtrip_of_zero_element_and_older_records():
+    X = one(GRID) - one(GRID)
+    assert not X.coeffs
+    Z = chaos_from_json(chaos_to_json(X))
+    assert Z.grid == GRID and not Z.coeffs
+    # older records hold only the kernel records, keyed by order
+    Y = rand_element(99)
+    older = {str(n): kernel_to_json(f) for n, f in Y.coeffs.items()}
+    assert close(Y, chaos_from_json(older), 0.0)
+    with pytest.raises(ValueError):
+        chaos_from_json({})
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"kernels": {}},
+        {"total_length": 1.0, "kernels": {}},
+        {"total_length": 1.0, "cells": 3, "kernels": []},
+        # a kernel on another grid than the record's
+        {"total_length": 2.0, "cells": 3, "kernels": {"0": kernel_to_json(one(GRID).coeffs[0])}},
+    ],
+)
+def test_json_rejects_malformed_element_records(record):
     with pytest.raises(ValueError):
         chaos_from_json(record)

@@ -31,7 +31,11 @@ from wignerchaos.grid_kernel import (
     Kernel,
     cell_indicator,
     contract,
+    is_mirror_symmetric,
+    is_symmetric,
+    norm,
     slice_kernel,
+    symmetrize,
 )
 
 
@@ -281,3 +285,30 @@ def test_bound_report_fields():
     # mirror-symmetric non-symmetric input: no closed form, bound not claimed
     rep2 = bound_report(3, counterexample_kernel(4))
     assert rep2.lhs_closed_form is None
+
+
+@pytest.mark.parametrize("T", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_symmetry_decisions_and_bound_report_are_scale_invariant(T):
+    # the same unit kernels on [0, T]: entries scale like T^(-n/2)
+    def on_length(f):
+        return Kernel(GridSpec(T, f.grid.cells), f.order, f.data * T ** (-f.order / 2))
+
+    rng = np.random.default_rng(41)
+    generic = Kernel(GridSpec(1.0, 3), 3, rng.uniform(-1.0, 1.0, (3, 3, 3)))
+    generic = generic / norm(generic)
+    symmetric = symmetrize(generic)
+    symmetric = symmetric / norm(symmetric)
+    mirror = counterexample_kernel(3)  # mirror-symmetric, not symmetric
+    for f, sym, mir in ((generic, False, False), (symmetric, True, True), (mirror, False, True)):
+        g = on_length(f)
+        assert norm(g) == pytest.approx(1.0, rel=1e-12)
+        assert (is_symmetric(g), is_mirror_symmetric(g)) == (sym, mir)
+    with pytest.raises(ValueError):
+        bound_report(3, on_length(generic))
+    for f in (symmetric, mirror):
+        want, got = bound_report(3, f), bound_report(3, on_length(f))
+        assert got.bound_satisfied == want.bound_satisfied
+        assert (got.lhs_closed_form is None) == (want.lhs_closed_form is None)
+        for field in ("gap", "lhs", "lhs_closed_form", "c_n", "dc2_from_gap", "dc2_from_lhs"):
+            if getattr(want, field) is not None:
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12), field
