@@ -108,7 +108,8 @@ def _sum_by_split(grid: GridSpec, terms) -> BiChaosElement:
     """The element of split kernels on grid, those of equal split summed left to right.
 
     A split reached once keeps its SplitKernel object; a repeated split is
-    summed into one array owned here and wrapped once at the end.
+    summed into one array owned here and wrapped, without a copy, once at
+    the end.
     """
     coeffs: dict[tuple[int, int], SplitKernel] = {}
     sums = {}  # split -> summed array
@@ -121,7 +122,7 @@ def _sum_by_split(grid: GridSpec, terms) -> BiChaosElement:
         else:
             coeffs[split] = w
     for split, data in sums.items():
-        coeffs[split] = SplitKernel(Kernel(grid, sum(split), data), split)
+        coeffs[split] = SplitKernel(Kernel._wrap(grid, sum(split), data), split)
     return BiChaosElement(grid, coeffs)
 
 

@@ -114,7 +114,8 @@ def _sum_by_order(grid: GridSpec, kernels) -> ChaosElement:
     """The element of kernels on grid, those of equal order summed left to right.
 
     An order reached once keeps its Kernel object; a repeated order is summed
-    into one array owned here and wrapped in a Kernel once at the end.
+    into one array owned here and wrapped in a Kernel, without a copy, once
+    at the end.
     """
     coeffs: dict[int, Kernel] = {}
     sums = {}  # order -> summed array
@@ -127,7 +128,7 @@ def _sum_by_order(grid: GridSpec, kernels) -> ChaosElement:
         else:
             coeffs[n] = f
     for n, data in sums.items():
-        coeffs[n] = Kernel(grid, n, data)
+        coeffs[n] = Kernel._wrap(grid, n, data)
     return ChaosElement(grid, coeffs)
 
 

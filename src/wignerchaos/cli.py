@@ -25,13 +25,12 @@ from .bichaos import norm2
 from .breuer_major import NORMALIZATIONS, BMConfig, rate_fit
 from .chaos import fourth_moment_gap
 from .gradient import _slice_pair_form, bound_report, main_bound_lhs
-from .grid_kernel import GridSpec, Kernel, inner, norm, symmetrize
+from .grid_kernel import GridSpec, inner
+from .workloads import counterexample_kernel, random_symmetric_unit_kernel
 
 __all__ = [
     "RunConfig",
-    "counterexample_kernel",
     "main",
-    "random_symmetric_unit_kernel",
     "run_bound_check",
     "run_breuer_major",
     "run_constants",
@@ -66,42 +65,6 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     return str(v)
-
-
-# ---------------------------------------------------------------------------
-# seeded inputs
-# ---------------------------------------------------------------------------
-
-def random_symmetric_unit_kernel(
-    grid: GridSpec, order: int, seed: int, index: int
-) -> Kernel:
-    """Symmetrized, normalized kernel with uniform[-1, 1] entries.
-
-    The generator is counter-based (Philox keyed by (seed, index)), so
-    trial `index` is reproducible independently of the other trials.
-    Draws whose symmetrization has norm below 1e-8 are rejected.
-    """
-    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
-    while True:
-        raw = rng.uniform(-1.0, 1.0, size=(grid.cells,) * order)
-        k = symmetrize(Kernel(grid, order, raw))
-        nv = norm(k)
-        if nv >= 1e-8:
-            return k / nv
-
-
-def counterexample_kernel(N: int) -> Kernel:
-    """Order-3 mirror-symmetric unit kernel sqrt(N) * 1[cell(x1) = cell(x3)].
-
-    Not fully symmetric for N >= 2; its fourth-moment gap is 2/N.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    grid = GridSpec(1.0, N)
-    data = np.zeros((N, N, N))
-    for a in range(N):
-        data[a, :, a] = math.sqrt(N)
-    return Kernel(grid, 3, data)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from wignerchaos.chaos import (
     trace,
     trace_of_product,
 )
-from wignerchaos.cli import counterexample_kernel, random_symmetric_unit_kernel
 from wignerchaos.gradient import _slice_pair_form, bound_report, main_bound_lhs
 from wignerchaos.grid_kernel import (
     GridSpec,
@@ -55,6 +54,7 @@ from wignerchaos.grid_kernel import (
     norm,
     symmetrize,
 )
+from wignerchaos.workloads import counterexample_kernel, random_symmetric_unit_kernel
 
 
 def rand_complex(grid, order, seed):

@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 import wignerchaos
-from wignerchaos.cli import (
-    counterexample_kernel,
-    main,
-    random_symmetric_unit_kernel,
-)
+from wignerchaos.cli import main
 from wignerchaos.grid_kernel import (
     GridSpec,
     inner,
@@ -21,6 +17,7 @@ from wignerchaos.grid_kernel import (
     kernels_close,
     norm,
 )
+from wignerchaos.workloads import counterexample_kernel, random_symmetric_unit_kernel
 
 
 def run(capsys, *argv):

@@ -16,7 +16,6 @@ import pytest
 from wignerchaos.bichaos import adjoint, bitrace, norm2, one_tensor_one, sharp_multiply
 from wignerchaos.bounds import C, P
 from wignerchaos.chaos import fourth_moment_gap
-from wignerchaos.cli import counterexample_kernel, random_symmetric_unit_kernel
 from wignerchaos.gradient import (
     bound_report,
     closed_form_lhs,
@@ -37,6 +36,7 @@ from wignerchaos.grid_kernel import (
     slice_kernel,
     symmetrize,
 )
+from wignerchaos.workloads import counterexample_kernel, random_symmetric_unit_kernel
 
 
 # the package re-exports the function `gradient` under the module's name

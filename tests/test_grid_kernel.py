@@ -1,10 +1,14 @@
 import json
 import math
 import struct
+import tracemalloc
+from importlib import import_module
+from itertools import product
 
 import numpy as np
 import pytest
 
+from wignerchaos.chaos import ChaosElement
 from wignerchaos.grid_kernel import (
     GridSpec,
     Kernel,
@@ -34,6 +38,8 @@ from wignerchaos.grid_kernel import (
 )
 
 GRID = GridSpec(1.0, 3)
+
+grid_kernel_module = import_module("wignerchaos.grid_kernel")
 
 
 def rand(order, cells=3, seed=0, complex_=True):
@@ -238,6 +244,109 @@ def test_bicontract_zero_zero_keeps_blocks():
     assert np.allclose(out.kernel.data, expected)
 
 
+def bicontract_by_tensordot(f, g, p, r):
+    # the tensordot formula: contract the paired axes in tensordot's own
+    # output order (f lead, f trail, g first, g second), then move f's
+    # trailing block to the end
+    n1, m1 = f.split
+    n2, m2 = g.split
+    f_axes = list(range(n1 - 1, n1 - p - 1, -1)) + list(range(n1, n1 + r))
+    g_axes = list(range(p)) + list(range(n2 + m2 - 1, n2 + m2 - r - 1, -1))
+    out = np.tensordot(f.kernel.data, g.kernel.data, axes=(f_axes, g_axes))
+    out = out * f.kernel.grid.cell_width ** (p + r)
+    n_lead, n_trail, n_free = n1 - p, m1 - r, n2 + m2 - p - r
+    src = (
+        list(range(n_lead))
+        + list(range(n_lead + n_trail, n_lead + n_trail + n_free))
+        + list(range(n_lead, n_lead + n_trail))
+    )
+    return np.transpose(out, src)
+
+
+def assert_relative_close(got, want, rtol):
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got - want))) <= rtol * scale
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3])
+def test_bicontract_matches_tensordot_formula_on_every_split(cells):
+    grid = GridSpec(2.5, cells)
+    rng = np.random.default_rng(40 + cells)
+
+    def split_kernel(a, b):
+        shape = (cells,) * (a + b)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return SplitKernel(Kernel(grid, a + b, data), (a, b))
+
+    for n1, m1, n2, m2 in product(range(4), repeat=4):
+        f, g = split_kernel(n1, m1), split_kernel(n2, m2)
+        for p in range(min(n1, n2) + 1):
+            for r in range(min(m1, m2) + 1):
+                got = bicontract(f, g, p, r)
+                assert got.split == (n1 + n2 - 2 * p, m1 + m2 - 2 * r)
+                want = bicontract_by_tensordot(f, g, p, r)
+                assert_relative_close(got.kernel.data, want, 1e-13)
+        # contract is the bicontraction of the splits (n, 0) and (m, 0)
+        fc, gc = SplitKernel(f.kernel, (n1 + m1, 0)), SplitKernel(g.kernel, (n2 + m2, 0))
+        for p in range(min(n1 + m1, n2 + m2) + 1):
+            got = contract(f.kernel, g.kernel, p).data
+            assert_relative_close(got, bicontract_by_tensordot(fc, gc, p, 0), 1e-13)
+
+
+def test_internal_results_are_fresh_frozen_c_arrays():
+    f3, g3, f1 = rand(3, seed=41), rand(3, seed=42), rand(1, seed=43)
+    s3 = SplitKernel(f3, (2, 1))
+    cases = [
+        (contract(f3, g3, 1), 4, (f3, g3)),
+        (contract(f3, g3, 3), 0, (f3, g3)),
+        (bicontract(s3, SplitKernel(g3, (1, 2)), 1, 1).kernel, 2, (f3, g3)),
+        (bicontract(s3, SplitKernel(g3, (2, 1)), 0, 0).kernel, 6, (f3, g3)),
+        (adjoint(f3), 3, (f3,)),
+        (adjoint_split(s3).kernel, 3, (f3,)),
+        (slice_kernel(f3, 2, 1).kernel, 2, (f3,)),
+        (slice_kernel(f1, 1, 2).kernel, 0, (f1,)),
+        (f3 + g3, 3, (f3, g3)),
+        (-f3, 3, (f3,)),
+        (2.0 * f3, 3, (f3,)),
+        (ChaosElement(GRID, {3: f3}) + ChaosElement(GRID, {3: g3}), 3, (f3, g3)),
+    ]
+    for i, (out, order, inputs) in enumerate(cases):
+        if isinstance(out, ChaosElement):
+            out = out.coeffs[order]
+        data = out.data
+        assert out.order == order and data.shape == (3,) * order, i
+        assert data.dtype == np.complex128 and data.flags.c_contiguous, i
+        assert not data.flags.writeable, i
+        assert not any(np.shares_memory(data, k.data) for k in inputs), i
+
+
+def test_overflowing_contractions_are_refused():
+    big = Kernel(GRID, 2, np.full((3, 3), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="kernel entries must be finite"):
+            contract(big, big, 1)
+        with pytest.raises(ValueError, match="kernel entries must be finite"):
+            bicontract(SplitKernel(big, (1, 1)), SplitKernel(big, (1, 1)), 1, 0)
+
+
+def test_memory_cap_fires_before_any_contraction_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("over-cap contraction was started")
+
+    monkeypatch.setattr(grid_kernel_module, "_bicontract_array", forbidden)
+    f = zero_kernel(GridSpec(1.0, 2**7), 2)  # 2^14 entries; 2^28 in order 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryCapError):
+            contract(f, f, 0)
+        with pytest.raises(MemoryCapError):
+            bicontract(SplitKernel(f, (1, 1)), SplitKernel(f, (1, 1)), 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.data.nbytes
+
+
 def test_adjoint_split_reverses_within_blocks():
     w = SplitKernel(rand(3, seed=23), (2, 1))
     ws = adjoint_split(w)
@@ -269,6 +378,22 @@ def test_max_abs_diff_and_close():
     h = f + 1e-3 * rand(2, seed=26)
     assert not kernels_close(f, h)
     assert max_abs_diff(f, h) == pytest.approx(1e-3 * np.abs(rand(2, seed=26).data).max())
+
+
+@pytest.mark.parametrize("T", [1e-8, 1.0, 1e8, 1e14])
+def test_kernels_close_is_scale_invariant(T):
+    # unit kernels on a grid of length T have entries of size about 1/T
+    grid = GridSpec(T, 3)
+    data = [rand(2, seed=seed).data.copy() for seed in (50, 51)]
+    data[0][0, 0] = 0.0
+    f, g = (Kernel(grid, 2, d) / norm(Kernel(grid, 2, d)) for d in data)
+    assert not kernels_close(f, g)
+    # a deviation of 1e-13 * max|f| where f vanishes passes only through
+    # atol, which must scale with the kernels
+    bump = np.zeros((3, 3))
+    bump[0, 0] = 1e-13 * np.max(np.abs(f.data))
+    assert kernels_close(f, f + Kernel(grid, 2, bump))
+    assert not kernels_close(f, f + Kernel(grid, 2, 1e4 * bump))
 
 
 def test_binary_roundtrip_bit_exact():
