@@ -22,6 +22,7 @@ from .grid_kernel import (
     GridSpec,
     Kernel,
     SplitKernel,
+    _add_into,
     _element_record,
     _read_element_record,
     adjoint_split,
@@ -116,7 +117,7 @@ def _sum_by_split(grid: GridSpec, terms) -> BiChaosElement:
     for w in terms:
         split = w.split
         if split in sums:
-            sums[split] += w.kernel.data
+            sums[split] = _add_into(sums[split], w.kernel.data)
         elif split in coeffs:
             sums[split] = coeffs[split].kernel.data + w.kernel.data
         else:

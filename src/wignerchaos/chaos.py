@@ -18,6 +18,7 @@ import numpy as np
 from .grid_kernel import (
     GridSpec,
     Kernel,
+    _add_into,
     _element_record,
     _read_element_record,
     adjoint as kernel_adjoint,
@@ -122,7 +123,7 @@ def _sum_by_order(grid: GridSpec, kernels) -> ChaosElement:
     for f in kernels:
         n = f.order
         if n in sums:
-            sums[n] += f.data
+            sums[n] = _add_into(sums[n], f.data)
         elif n in coeffs:
             sums[n] = coeffs[n].data + f.data
         else:
@@ -325,7 +326,7 @@ def spectral_moments(g: Kernel, k_max: int) -> list[complex]:
         raise ValueError("spectral_moments needs an order-2 kernel")
     M = g.data * g.grid.cell_width
     kappa = {}
-    P = np.eye(M.shape[0], dtype=np.complex128)
+    P = np.eye(M.shape[0], dtype=M.dtype)
     for j in range(1, k_max + 1):
         P = P @ M
         if j >= 2:

@@ -68,26 +68,22 @@ def number_inverse(X: ChaosElement) -> ChaosElement:
     )
 
 
-def _fold_slice_pair(left: SplitKernel, right: SplitKernel):
-    """Yield the terms of h * sum_s (left sliced at cell s) # (right sliced at s)*.
-
-    left is a kernel in the split (k, n-k), sliced at argument k; right is
-    the blockwise adjoint of a kernel in the split (j, m-j), sliced at
-    argument j (see gradient_quadratic_form for why bicontract's p-pair
-    term is the slices' (p-1)-pair term summed over s).
-    """
-    (k, a), (j, b) = left.split, right.split
-    for p in range(1, min(k, j) + 1):
-        for r in range(min(a, b) + 1):
-            yield bicontract(left, right, p, r)
-
-
 def _slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
-    """h * sum_s (f sliced at argument k, cell s) # (f sliced at j, cell s)*."""
+    """h * sum_s (f sliced at argument k, cell s) # (f sliced at j, cell s)*.
+
+    bicontract's p-pair term of f in the split (k, n-k) and the blockwise
+    adjoint of f in the split (j, n-j) is the slices' (p-1)-pair term
+    summed over s (see gradient_quadratic_form).
+    """
     n = f.order
     left = SplitKernel(f, (k, n - k))
     right = adjoint_split(SplitKernel(f, (j, n - j)))
-    return _sum_by_split(f.grid, _fold_slice_pair(left, right))
+    terms = (
+        bicontract(left, right, p, r)
+        for p in range(1, min(k, j) + 1)
+        for r in range(min(n - k, n - j) + 1)
+    )
+    return _sum_by_split(f.grid, terms)
 
 
 def gradient_quadratic_form(n: int, f: Kernel) -> BiChaosElement:
@@ -106,13 +102,28 @@ def gradient_quadratic_form(n: int, f: Kernel) -> BiChaosElement:
     absorbs the cell width h of the outer sum.  The other p-1 first-leg
     pairs and the r second-leg pairs are the biproduct formula of the
     slices.  No symmetry of f is assumed.
+
+    Term (k, j, p, r) depends only on q = p + r, s = k - p and s' = j - p:
+    the contracted axes of L are f's axes [s, s + q), those of the right
+    factor, in pairing order, f's axes [s', s' + q), and the free axes
+    keep their order.  Each (q, s, s') with 0 <= s, s' <= n - q is reached
+    by the q terms p = 1..q, so
+
+        Q = sum_{q=1..n} sum_{s,s'=0..n-q}
+              bicontract((q/n) f split (s+1, n-s-1), (f split (s'+1, n-s'-1))*, 1, q-1),
+
+    one bicontraction per (q, s, s'): sum_q (n-q+1)^2 in all.
     """
     if n < 1 or f.order != n:
         raise ValueError("gradient_quadratic_form needs f of order n >= 1")
-    left_kernel = f * (1.0 / n)
-    lefts = [SplitKernel(left_kernel, (k, n - k)) for k in range(1, n + 1)]
+    lefts = {q: f * (q / n) for q in range(1, n + 1)}
     rights = [adjoint_split(SplitKernel(f, (j, n - j))) for j in range(1, n + 1)]
-    terms = (t for a in lefts for b in rights for t in _fold_slice_pair(a, b))
+    terms = (
+        bicontract(SplitKernel(lefts[q], (s + 1, n - s - 1)), rights[sp], 1, q - 1)
+        for q in range(1, n + 1)
+        for s in range(n - q + 1)
+        for sp in range(n - q + 1)
+    )
     return _sum_by_split(f.grid, terms)
 
 

@@ -2,10 +2,13 @@
 
 Kernels of order n are complex step functions on [0, T]^n, constant on the
 cells of a uniform N-cell grid, stored as dense ndarrays of shape (N,)*n in
-row-major order.  On this class of functions the whole contraction calculus
-(adjoints, inner products, nested contractions, bicontractions) closes
-exactly: every integral is a finite weighted sum, so algebraic identities
-hold up to floating-point rounding only.
+row-major order: float64 when the input is real, complex128 otherwise.
+Every operation's result follows numpy's type promotion, so real kernels
+stay real and one complex operand makes the result complex.  On this class
+of functions the whole contraction calculus (adjoints, inner products,
+nested contractions, bicontractions) closes exactly: every integral is a
+finite weighted sum, so algebraic identities hold up to floating-point
+rounding only.
 
 Index conventions
 -----------------
@@ -114,8 +117,8 @@ def _require_int(name: str, value) -> None:
 
 
 def _require_finite(arr: np.ndarray) -> None:
-    # on the real and imaginary parts as float64, about twice as fast as
-    # np.isfinite on the complex array
+    # on the entries, or the real and imaginary parts, as float64: about
+    # twice as fast as np.isfinite on a complex array
     if not np.isfinite(arr.reshape(-1).view(np.float64)).all():
         raise ValueError("kernel entries must be finite")
 
@@ -133,6 +136,7 @@ class GridSpec:
             raise ValueError("cells must be >= 1")
         if not (
             isinstance(self.total_length, numbers.Real)
+            and not isinstance(self.total_length, bool)
             and 0 < self.total_length < math.inf
         ):
             raise ValueError("total_length must be positive and finite")
@@ -143,7 +147,7 @@ class GridSpec:
 
 
 class Kernel:
-    """Order-n step-function kernel: grid, order, and dense complex data.
+    """Order-n step-function kernel: grid, order, and dense data.
 
     Parameters
     ----------
@@ -151,21 +155,27 @@ class Kernel:
     order : int
         Number of arguments n >= 0; order 0 is a scalar.
     data : array_like
-        N^n complex values, flat or already shaped (N,)*n, row-major.
+        N^n values, flat or already shaped (N,)*n, row-major.  Bool, integer
+        and float input is stored as float64, anything else as complex128.
+        The choice follows the input's dtype, never its values: a complex
+        array with zero imaginary parts stays complex.
 
     The data array is copied and frozen; kernels are immutable values.
     """
 
     __slots__ = ("grid", "order", "data")
+    # numpy operands defer to Kernel's operators, so an array factor on
+    # either side raises instead of building an object array of kernels
+    __array_ufunc__ = None
 
     @classmethod
     def _wrap(cls, grid: GridSpec, order: int, data) -> "Kernel":
         """Kernel around an array the package built and owns, without a copy.
 
-        The caller guarantees a C-contiguous complex128 array of shape
-        (N,)*order that nothing else references (a 0-d result may come as a
-        numpy scalar).  Only the entries are checked, because arithmetic on
-        finite input can still overflow; the array is then frozen.
+        The caller guarantees a C-contiguous float64 or complex128 array of
+        shape (N,)*order that nothing else references (a 0-d result may come
+        as a numpy scalar).  Only the entries are checked, because arithmetic
+        on finite input can still overflow; the array is then frozen.
         """
         arr = np.asarray(data)
         _require_finite(arr)
@@ -181,7 +191,9 @@ class Kernel:
         if order < 0:
             raise ValueError("order must be >= 0")
         _require_capacity(grid.cells, order)
-        arr = np.array(data, dtype=np.complex128, order="C")
+        arr = np.asarray(data)
+        dtype = np.float64 if arr.dtype.kind in "biuf" else np.complex128
+        arr = np.array(arr, dtype=dtype, order="C")
         shape = (grid.cells,) * order
         if arr.size != grid.cells**order:
             raise ValueError(
@@ -229,15 +241,20 @@ class Kernel:
     def __mul__(self, scalar):
         if isinstance(scalar, Kernel):
             return NotImplemented
-        return self._like(self.data * complex(scalar))
+        return self._like(self.data * _scalar(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self * (1.0 / complex(scalar))
+        return self * (1.0 / _scalar(scalar))
 
     def norm(self) -> float:
         return norm(self)
+
+
+def _scalar(value) -> float | complex:
+    # float or complex, so that an array raises here instead of broadcasting
+    return float(value) if isinstance(value, numbers.Real) else complex(value)
 
 
 @dataclass(frozen=True)
@@ -260,6 +277,18 @@ class SplitKernel:
         return self.kernel.order
 
 
+def _add_into(acc: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """acc + data, summed in place into the owned array acc when its dtype allows.
+
+    numpy refuses an in-place complex-to-float add, so a complex term met
+    by a real sum returns a new, promoted array instead.
+    """
+    if np.can_cast(data.dtype, acc.dtype):
+        acc += data
+        return acc
+    return acc + data
+
+
 def _check_same_grid(f: Kernel, g: Kernel) -> None:
     if f.grid != g.grid:
         raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
@@ -277,17 +306,18 @@ def _check_same_space(f: Kernel, g: Kernel) -> None:
 
 def zero_kernel(grid: GridSpec, order: int) -> Kernel:
     _require_capacity(grid.cells, order)
-    return Kernel(grid, order, np.zeros((grid.cells,) * order, dtype=np.complex128))
+    return Kernel(grid, order, np.zeros((grid.cells,) * order))
 
 def constant_kernel(grid: GridSpec, value: complex) -> Kernel:
-    """Order-0 kernel (a scalar)."""
-    return Kernel(grid, 0, np.array(value, dtype=np.complex128))
+    """Order-0 kernel (a scalar): float64 for a real value, else complex128."""
+    return Kernel(grid, 0, value)
 
 def cell_indicator(grid: GridSpec, cell: int, normalized: bool = False) -> Kernel:
     """Order-1 indicator of one grid cell; normalized=True rescales to norm 1."""
+    _require_int("cell", cell)
     if not 0 <= cell < grid.cells:
         raise ValueError(f"cell {cell} out of range [0, {grid.cells})")
-    data = np.zeros(grid.cells, dtype=np.complex128)
+    data = np.zeros(grid.cells)
     data[cell] = 1.0 / math.sqrt(grid.cell_width) if normalized else 1.0
     return Kernel(grid, 1, data)
 
@@ -372,18 +402,18 @@ def is_symmetric(f: Kernel, tol: float = 1e-9) -> bool:
 def symmetrize(f: Kernel) -> Kernel:
     """Average of f over all argument permutations (real kernels only).
 
-    The imaginary part, if any, is dropped with a warning.  Orders above 8
-    are rejected (n! transposes).
+    The imaginary part, if any, is dropped with a warning, and the result
+    is float64.  Orders above 8 are rejected (n! transposes).
     """
     if f.order > 8:
         raise ValueError("symmetrize rejects order > 8 (factorial blowup)")
     data = f.data
     if np.any(data.imag != 0):
         warnings.warn("symmetrize: dropping nonzero imaginary part", stacklevel=2)
-    data = data.real.astype(np.complex128)
+    data = data.real
     if f.order < 2:
         return Kernel(f.grid, f.order, data)
-    acc = np.zeros_like(data)
+    acc = np.zeros(data.shape)
     for perm in permutations(range(f.order)):
         acc += np.transpose(data, perm)
     acc /= math.factorial(f.order)
@@ -466,6 +496,8 @@ def bicontract(f: SplitKernel, g: SplitKernel, p: int, r: int) -> SplitKernel:
         out[a, c, b] = sum_w G[w, c] F[a, w, b],  i.e.  out[a] = G^T F[a],
 
     one matrix product batched over a, written once in the order above.
+    Its dtype follows numpy's promotion: float64 when both kernels are
+    real, complex128 when either is complex.
     """
     _check_same_grid(f.kernel, g.kernel)
     n1, m1 = f.split
@@ -498,7 +530,7 @@ def _bicontract_array(f: Kernel, f_split, g: Kernel, g_split, p: int, r: int):
     )
     gt = np.transpose(g.data, g_perm)
     G = np.multiply(
-        gt, f.grid.cell_width ** (p + r), out=np.empty(gt.shape, np.complex128)
+        gt, f.grid.cell_width ** (p + r), out=np.empty(gt.shape, gt.dtype)
     ).reshape(window, -1)
     if trail == 1:
         # one matrix product, not one matrix-vector product per lead index
@@ -510,6 +542,8 @@ def _bicontract_array(f: Kernel, f_split, g: Kernel, g_split, p: int, r: int):
 
 def slice_kernel(f: Kernel, k: int, s: int) -> SplitKernel:
     """Fix the k-th argument (1-based) of f at cell s: split (k-1, n-k)."""
+    _require_int("k", k)
+    _require_int("s", s)
     if not 1 <= k <= f.order:
         raise ValueError(f"k={k} out of range [1, {f.order}]")
     if not 0 <= s < f.grid.cells:
@@ -528,7 +562,11 @@ _HEADER = struct.Struct("<4sHdQQ")
 
 
 def kernel_to_bytes(f: Kernel) -> bytes:
-    """Self-describing binary record; round-trips bit-exactly."""
+    """Self-describing binary record of complex entries; round-trips bit-exactly.
+
+    A real kernel is written as its complex embedding, with zero imaginary
+    parts.
+    """
     header = _HEADER.pack(
         _MAGIC, _VERSION, f.grid.total_length, f.grid.cells, f.order
     )
@@ -537,7 +575,11 @@ def kernel_to_bytes(f: Kernel) -> bytes:
 
 
 def kernel_from_bytes(buf: bytes) -> Kernel:
-    """Inverse of kernel_to_bytes; any malformed record raises ValueError."""
+    """Inverse of kernel_to_bytes; any malformed record raises ValueError.
+
+    The record stores complex entries, so the kernel is complex128 even
+    when every imaginary part is zero.
+    """
     if len(buf) < _HEADER.size:
         raise ValueError(
             f"record length {len(buf)} is shorter than the {_HEADER.size}-byte header"
@@ -579,7 +621,11 @@ def kernel_to_json(f: Kernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> Kernel:
-    """Inverse of kernel_to_json; any malformed record raises ValueError."""
+    """Inverse of kernel_to_json; any malformed record raises ValueError.
+
+    The record stores complex entries, so the kernel is complex128 even
+    when every imaginary part is zero.
+    """
     try:
         grid = GridSpec(obj["total_length"], obj["cells"])
         order = obj["order"]

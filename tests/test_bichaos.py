@@ -3,6 +3,7 @@ import pytest
 
 from wignerchaos.bichaos import (
     BiChaosElement,
+    _sum_by_split,
     adjoint,
     bichaos_from_json,
     bichaos_to_json,
@@ -127,6 +128,26 @@ def test_scalar_arithmetic():
     Y = 2.0 * X - X
     assert biclose(X, Y, 1e-12)
     assert max_entry(X + (-X)) == 0.0
+
+
+def test_split_sums_follow_numpy_promotion():
+    # as for chaos sums: a complex term promotes a real sum of its split
+    rng = np.random.default_rng(170)
+    real = [SplitKernel(Kernel(GRID, 2, rng.standard_normal((3, 3))), (1, 1)) for _ in range(3)]
+    cplx = SplitKernel(rand_kernel(2, 170), (1, 1))
+    for terms, dtype in (
+        (real, np.float64),
+        (real[:2] + [cplx], np.complex128),
+        (real[:1] + [cplx] + real[1:], np.complex128),
+        ([cplx] + real, np.complex128),
+    ):
+        got = _sum_by_split(GRID, terms).coeffs[(1, 1)].kernel.data
+        assert got.dtype == dtype
+        assert np.array_equal(got, sum(w.kernel.data for w in terms))  # same order
+    X = from_split_kernel(real[0]) + from_split_kernel(
+        SplitKernel(Kernel(GRID, 1, np.ones(3)), (0, 1))
+    )
+    assert all(w.kernel.data.dtype == np.float64 for w in sharp_multiply(X, X).coeffs.values())
 
 
 def test_json_roundtrip():

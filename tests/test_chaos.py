@@ -4,6 +4,7 @@ import pytest
 from wignerchaos.bounds import semicircle_moment
 from wignerchaos.chaos import (
     ChaosElement,
+    _sum_by_order,
     adjoint,
     chaos_from_json,
     chaos_to_json,
@@ -70,6 +71,25 @@ def test_add_keeps_kernels_of_unshared_orders():
     S = X + Y
     assert S.coeffs[0] is X.coeffs[0] and S.coeffs[2] is Y.coeffs[2]
     assert np.array_equal(S.coeffs[1].data, X.coeffs[1].data + Y.coeffs[1].data)
+
+
+def test_sums_follow_numpy_promotion():
+    # real terms sum to float64; a complex term met by a real sum promotes
+    # it, keeping the imaginary part, instead of being cast to float
+    rng = np.random.default_rng(98)
+    real = [Kernel(GRID, 2, rng.standard_normal((3, 3))) for _ in range(3)]
+    cplx = rand_kernel(2, 98)
+    for terms, dtype in (
+        (real, np.float64),
+        (real[:2] + [cplx], np.complex128),
+        (real[:1] + [cplx] + real[1:], np.complex128),
+        ([cplx] + real, np.complex128),
+    ):
+        got = _sum_by_order(GRID, terms).coeffs[2].data
+        assert got.dtype == dtype
+        assert np.array_equal(got, sum(f.data for f in terms))  # same order
+    X = from_kernel(2, real[0]) + from_kernel(1, Kernel(GRID, 1, rng.standard_normal(3)))
+    assert all(f.data.dtype == np.float64 for f in multiply(X, X).coeffs.values())
 
 
 def test_moments_and_canonical_form_are_scale_invariant():
@@ -228,6 +248,15 @@ def test_spectral_moments_match_dense():
     ms = spectral_moments(f, 6)
     for k in range(1, 7):
         assert complex(moment(X, k)) == pytest.approx(ms[k], abs=1e-9)
+
+
+def test_spectral_moments_of_real_kernel_match_complex_embedding():
+    rng = np.random.default_rng(96)
+    data = rng.standard_normal((5, 5))
+    f = Kernel(GridSpec(2.0, 5), 2, data + data.T)
+    fc = Kernel(f.grid, 2, f.data.astype(np.complex128))
+    for got, want in zip(spectral_moments(f, 8), spectral_moments(fc, 8)):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_json_roundtrip():

@@ -216,6 +216,36 @@ def test_bad_flag_value_exits_two(capsys, argv):
     assert "error: argument --" in err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """The README's `wignerchaos ...` command lines and its documented bm.cfg."""
+    blocks = README.read_text().split("```")[1::2]  # inside the fences
+    commands, config = [], []
+    for block in blocks:
+        text = block.replace("\\\n", " ")
+        for line in text.splitlines():
+            if line.startswith("wignerchaos "):
+                commands.append(line.split()[1:])
+            elif line.startswith("#   "):  # the lines listed under "# bm.cfg:"
+                config.append(line[4:])
+    return commands, config
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    commands, config = readme_examples()
+    words = {word for argv in commands for word in argv}
+    assert words >= {"constants", "counterexample", "bound-check", "breuer-major", "bm.cfg"}
+    assert config and "`counterexample` exits 1 by design" in README.read_text()
+    (tmp_path / "bm.cfg").write_text("\n".join(config) + "\n")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == (1 if "counterexample" in argv else 0), (argv, err)
+        assert out and "Traceback" not in err, argv
+
+
 def test_closed_stdout_pipe_exits_zero_without_traceback():
     # a reader that leaves early (`wignerchaos constants | head -1`) must not
     # turn a passing run into exit 1, the status of a failed identity

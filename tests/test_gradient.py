@@ -8,6 +8,7 @@ bicontraction engine.
 """
 
 import math
+from dataclasses import asdict
 from importlib import import_module
 
 import numpy as np
@@ -267,6 +268,45 @@ def test_quadratic_form_bicontract_calls_do_not_grow_with_cells(monkeypatch):
         gradient_quadratic_form(3, f)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_quadratic_form_makes_one_bicontraction_per_q_s_s_prime(monkeypatch):
+    # terms (k, j, p, r) with equal q = p + r, s = k - p and s' = j - p are
+    # one tensor, computed once: sum_q (n - q + 1)^2 calls
+    calls = []
+    original = gradient_module.bicontract
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(gradient_module, "bicontract", counting)
+    for n in range(1, 6):
+        f = random_complex_kernel(GridSpec(1.0, 2), n, seed=44, index=n)
+        calls.clear()
+        gradient_quadratic_form(n, f)
+        assert len(calls) == sum((n - q + 1) ** 2 for q in range(1, n + 1)), n
+
+
+def test_real_kernels_match_their_complex_embeddings():
+    # the float64 route and the complex128 route of the same real kernels
+    kernels = [
+        random_symmetric_unit_kernel(GridSpec(1.0, cells), n, seed=53, index=n)
+        for n, cells in ((2, 4), (3, 3), (4, 3), (5, 2))
+    ] + [counterexample_kernel(5)]
+    for f in kernels:
+        n = f.order
+        fc = Kernel(f.grid, n, f.data.astype(np.complex128))
+        assert f.data.dtype == np.float64
+        assert main_bound_lhs(n, f) == pytest.approx(main_bound_lhs(n, fc), rel=1e-13, abs=0.0)
+        assert fourth_moment_gap(f) == pytest.approx(fourth_moment_gap(fc), rel=1e-13, abs=0.0)
+        got, want = asdict(bound_report(n, f)), asdict(bound_report(n, fc))
+        assert got.keys() == want.keys()
+        for field, value in want.items():
+            if isinstance(value, float):
+                assert got[field] == pytest.approx(value, rel=1e-13, abs=0.0), field
+            else:
+                assert got[field] == value, field
 
 
 def test_bound_report_fields():

@@ -57,6 +57,8 @@ def test_grid_spec_cell_width():
         GridSpec(0.0, 4)
     with pytest.raises(ValueError):
         GridSpec(1.0, 0)
+    with pytest.raises(ValueError):
+        GridSpec(True, 3)  # a bool is not a length
 
 
 def test_kernel_construction_and_immutability():
@@ -100,6 +102,62 @@ def test_arithmetic():
         f + rand(3, seed=3)
     with pytest.raises(ValueError):
         f + rand(2, cells=4, seed=3)
+
+
+def test_result_dtype_follows_numpy_promotion():
+    # real input is stored as float64, anything else as complex128, and each
+    # result takes numpy's promotion of its operands
+    real, cplx = np.dtype(np.float64), np.dtype(np.complex128)
+    for data, want in (
+        (np.ones(3, dtype=bool), real),
+        (np.arange(3), real),
+        (np.ones(3, dtype=np.float32), real),
+        ([1.0, 2.0, 3.0], real),
+        (np.ones(3, dtype=np.complex64), cplx),
+        (np.ones(3) + 0j, cplx),  # the dtype decides, not the values
+    ):
+        assert Kernel(GRID, 1, data).data.dtype == want
+    assert constant_kernel(GRID, 2.0).data.dtype == real
+    assert constant_kernel(GRID, 2.0 + 0j).data.dtype == cplx
+    assert zero_kernel(GRID, 2).data.dtype == real
+    assert cell_indicator(GRID, 1, normalized=True).data.dtype == real
+    fr, fc = rand(3, seed=60, complex_=False), rand(3, seed=61)
+    assert symmetrize(fr).data.dtype == real
+    for f in (fr, fc):
+        dtype = f.data.dtype
+        assert adjoint(f).data.dtype == dtype
+        assert adjoint_split(SplitKernel(f, (1, 2))).kernel.data.dtype == dtype
+        assert slice_kernel(f, 2, 1).kernel.data.dtype == dtype
+        assert (-f).data.dtype == dtype
+        for scalar in (2.0, 2, np.float64(2.0), np.int64(2)):
+            assert (f * scalar).data.dtype == (scalar * f).data.dtype == dtype
+            assert (f / scalar).data.dtype == dtype
+        for scalar in (1j, 2.0 + 0j, np.complex128(2.0)):
+            assert (f * scalar).data.dtype == (f / scalar).data.dtype == cplx
+    for f, g in product((fr, fc), repeat=2):
+        want = real if f is g is fr else cplx
+        assert contract(f, g, 1).data.dtype == want
+        assert contract(f, g, 0).data.dtype == want
+        bi = bicontract(SplitKernel(f, (2, 1)), SplitKernel(g, (1, 2)), 1, 1)
+        assert bi.kernel.data.dtype == want
+        assert (f + g).data.dtype == (f - g).data.dtype == want
+    # binary and JSON records hold complex entries
+    assert kernel_from_bytes(kernel_to_bytes(fr)).data.dtype == cplx
+    assert kernel_from_json(kernel_to_json(fr)).data.dtype == cplx
+
+
+def test_scalar_arithmetic_refuses_arrays():
+    # internal results are wrapped without a shape check, so an array factor
+    # must raise rather than broadcast into a kernel of the wrong shape
+    for f in (rand(1, seed=62, complex_=False), rand(1, seed=63)):
+        for factor in (np.ones(3), np.ones((3, 3)), [1.0, 2.0, 3.0]):
+            with pytest.raises(TypeError):
+                f * factor
+            with pytest.raises(TypeError):
+                f / factor
+        with pytest.raises(TypeError):
+            np.ones(3) * f
+        assert np.array_equal((np.float64(2.0) * f).data, 2.0 * f.data)
 
 
 def test_memory_cap():
@@ -179,6 +237,11 @@ def test_inner_norm_scaling():
     assert inner(e, e) == pytest.approx(GRID.cell_width)
     u = cell_indicator(GRID, 1, normalized=True)
     assert norm(u) == pytest.approx(1.0)
+    assert np.count_nonzero(u.data) == 1
+    # True would index the whole array as a boolean mask
+    for cell in (True, 1.0, -1, 3):
+        with pytest.raises(ValueError):
+            cell_indicator(GRID, cell)
     f, g = rand(2, seed=10), rand(2, seed=11)
     assert inner(f, g) == pytest.approx(np.conj(inner(g, f)))
 
@@ -293,6 +356,39 @@ def test_bicontract_matches_tensordot_formula_on_every_split(cells):
             assert_relative_close(got, bicontract_by_tensordot(fc, gc, p, 0), 1e-13)
 
 
+def complex_embedding(f):
+    return Kernel(f.grid, f.order, f.data.astype(np.complex128))
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3])
+def test_real_kernels_match_their_complex_embeddings(cells):
+    # the float64 route and the complex128 route of the same real kernels
+    grid = GridSpec(2.5, cells)
+    rng = np.random.default_rng(70 + cells)
+
+    def split_kernel(a, b):
+        return SplitKernel(Kernel(grid, a + b, rng.standard_normal((cells,) * (a + b))), (a, b))
+
+    for n1, m1, n2, m2 in product(range(4), repeat=4):
+        f, g = split_kernel(n1, m1), split_kernel(n2, m2)
+        fc, gc = (SplitKernel(complex_embedding(w.kernel), w.split) for w in (f, g))
+        for p in range(min(n1, n2) + 1):
+            for r in range(min(m1, m2) + 1):
+                want = bicontract(fc, gc, p, r).kernel.data
+                got = bicontract(f, g, p, r).kernel.data
+                assert got.dtype == np.float64
+                assert_relative_close(got, want, 1e-13)
+                # a complex operand promotes the real one
+                assert_relative_close(bicontract(f, gc, p, r).kernel.data, want, 1e-13)
+        for p in range(min(n1 + m1, n2 + m2) + 1):
+            got = contract(f.kernel, g.kernel, p).data
+            assert got.dtype == np.float64
+            assert_relative_close(got, contract(fc.kernel, gc.kernel, p).data, 1e-13)
+    f = Kernel(grid, 3, rng.standard_normal((cells,) * 3))
+    assert kernel_to_bytes(f) == kernel_to_bytes(complex_embedding(f))
+    assert kernel_to_json(f) == kernel_to_json(complex_embedding(f))
+
+
 def test_internal_results_are_fresh_frozen_c_arrays():
     f3, g3, f1 = rand(3, seed=41), rand(3, seed=42), rand(1, seed=43)
     s3 = SplitKernel(f3, (2, 1))
@@ -369,6 +465,9 @@ def test_slice_kernel():
         slice_kernel(f, 4, 1)
     with pytest.raises(ValueError):
         slice_kernel(f, 1, 3)
+    for k, s in ((1, 1.0), (True, 0), (1, True), (1.0, 0)):
+        with pytest.raises(ValueError):
+            slice_kernel(f, k, s)
 
 
 def test_max_abs_diff_and_close():
@@ -447,7 +546,7 @@ def test_json_rejects_malformed_records():
     for key, values in {
         "order": ("2", 2.0, True, None, -1),
         "cells": ("2", 2.0, True, None, 0),
-        "total_length": ("1", None, math.nan, math.inf, 0.0),
+        "total_length": ("1", None, math.nan, math.inf, 0.0, True),
         "re": (good["re"][:-1], good["re"] + [0.0], [[0.0]], "x", {"a": 1}),
         "im": (good["im"][:1], good["im"] + [0.0], None),
     }.items():
