@@ -16,14 +16,17 @@ the order-n kernel, which is what makes the large-m rate fits cheap:
     ||g contract_u g||^2 ~ tr(A_u B_u A_u B_u),  A_u = R^u, B_u = R^(n-u)
 
 with R the covariance matrix and the powers taken entrywise.  Three exact
-identities cut the work of that sum:
+identities make that sum O(m^2) in time and O(m) in memory:
 
 * u <-> n-u fold: tr(ABAB) = tr(BABA), so only u <= n/2 is computed, with
   weight 2 unless 2u = n;
-* centrosymmetric split: A and B are symmetric Toeplitz, hence commute
-  with the exchange matrix J.  In the basis of J-even and J-odd vectors
-  both are block diagonal with blocks of sizes ceil(m/2) and floor(m/2),
-  so tr(ABAB) is the sum of the traces of the two half-size blocks;
+* displacement: A = T(a) and B = T(b) are symmetric Toeplitz, with a and b
+  the entrywise powers of the lag vector r, so P = AB satisfies
+  P[i+1, j+1] = P[i, j] + a[i+1] b[j+1] - a[m-1-i] b[m-1-j].  Each diagonal
+  of P (and of P^T = BA) is then its first-row entry plus a running sum,
+  and tr(ABAB) = sum_d w_d <diag_d P, diag_d P^T> is read off the first
+  halves of those diagonals (P is centrosymmetric), a block of diagonals
+  at a time, with no m x m array;
 * the exact variance sum R^n = m r_0^n + 2 sum_d (m-d) r_d^n is an O(m)
   sum over lags.
 """
@@ -37,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bounds
-from .grid_kernel import GridSpec, Kernel, _require_capacity, norm
+from .grid_kernel import GridSpec, Kernel, _require_capacity, _require_int, norm
 
 __all__ = [
     "BMConfig",
@@ -67,14 +70,18 @@ class BMConfig:
     normalization: str = "exact_variance"
 
     def __post_init__(self):
+        _require_int("n", self.n)
         if self.n < 2:
             raise ValueError("n must be >= 2 (at n = 1 there is no gap to measure)")
         _require_summable(self.n, self.H)
         object.__setattr__(self, "m_list", tuple(self.m_list))
+        for m in self.m_list:
+            _require_sample_size(m)
         if any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
             raise ValueError("m_list must be strictly increasing")
         if not self.m_list:
             raise ValueError("m_list must be nonempty")
+        _require_int("truncation", self.truncation)
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
         if self.normalization not in NORMALIZATIONS:
@@ -122,6 +129,12 @@ def _require_summable(n: int, H: float) -> None:
         )
 
 
+def _require_sample_size(m) -> None:
+    _require_int("m", m)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+
+
 def rho(H: float, k: int) -> float:
     """Autocovariance of unit-step fractional increments at lag k."""
     if not 0.0 < H < 1.0:
@@ -152,7 +165,14 @@ def sigma2(n: int, H: float, K: int) -> float:
 
 
 def sigma2_tail_bound(n: int, H: float, K: int) -> float:
-    """Bound on the dropped tail, from |rho_H(k)| <= 2H|2H-1| k^(2H-2), k >= 2."""
+    """Bound on the dropped tail, from |rho_H(k)| <= 2H|2H-1| k^(2H-2), k >= 2.
+
+    Same preconditions as ``sigma2``: outside them the series diverges and
+    the formula below is not a bound (it can even be negative).
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    _require_summable(n, H)
     if H == 0.5:
         return 0.0
     a = 2.0 * H * abs(2.0 * H - 1.0)
@@ -171,25 +191,70 @@ def _toeplitz(r: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(c, len(r))[::-1]
 
 
-def _centrosymmetric_blocks(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The J-even and J-odd diagonal blocks of the Toeplitz matrix T = r[|i - j|].
+_DIAGONAL_BLOCK = 128  # diagonals per pass of _trace_abab; 64..256 time the same
 
-    With p = m // 2 and h = m - p, the J-even vectors have the basis
-    e_j + e_{m-1-j} (j < p), plus e_p when m is odd, and the J-odd ones
-    e_j - e_{m-1-j} (j < p).  T maps each space to itself, with matrices
-    T[:h, :h] +/- T[:h, ::-1][:, :h] (the middle column taken once), so a
-    product of such matrices has the trace of the two block products.
+
+def _half_diagonals(x, y, first, d, width):
+    """The first ``width`` entries of the diagonals d of P = T(x) T(y).
+
+    Entry i of diagonal d is P[i, i+d] = first[d] + sum_{s=1}^{i} (x[s] y[s+d]
+    - x[m-s] y[m-s-d]), m = len(x).  ``y_pad`` and ``y_mirror`` carry zeros
+    where an index leaves 0..m-1, so the entries past the end of a short
+    diagonal come out finite (the caller weights them 0).
     """
-    m = len(r)
-    p = m // 2
-    h = m - p
-    T = _toeplitz(r)
-    hankel = T[::-1]
-    even = T[:h, :h] + hankel[:h, :h]
-    if h > p:
-        even[:, p] *= 0.5  # e_p is its own mirror: T[:, p] was added twice
-    odd = T[:p, :p] - hankel[:p, :p]
-    return even, odd
+    zeros = np.zeros(width)
+    y_pad = np.concatenate((y, zeros))  # y[k]
+    y_mirror = np.concatenate(([0.0], y[::-1], zeros))  # y[m - k]
+    x_mirror = np.concatenate(([0.0], x[:0:-1]))[:width]  # x[m - i]
+    fwd = np.lib.stride_tricks.sliding_window_view(y_pad, width)[d[0] : d[-1] + 1]
+    back = np.lib.stride_tricks.sliding_window_view(y_mirror, width)[d[0] : d[-1] + 1]
+    steps = fwd * x[:width]
+    steps -= back * x_mirror
+    steps[:, 0] = first[d]
+    return np.cumsum(steps, axis=1, out=steps)
+
+
+def _first_row(x, y):
+    # P[0, d] = sum_k x_k y_|k-d|: one correlation with the mirrored lags of y
+    return np.correlate(np.concatenate((y[:0:-1], y)), x, "valid")[::-1]
+
+
+def _trace_abab(a: np.ndarray, b: np.ndarray) -> float:
+    """tr(A B A B) for the symmetric Toeplitz A = T(a), B = T(b), in O(m) memory.
+
+    P = A B obeys the displacement rule
+
+        P[i+1, j+1] = P[i, j] + a[i+1] b[j+1] - a[m-1-i] b[m-1-j]
+
+    (the product drops the term k = m-1 and gains k = -1), with first row
+    P[0, d] = sum_k a_k b_|k-d|; P^T = B A obeys the same rule with a and b
+    swapped.  So each diagonal of P and of P^T is its first-row entry plus a
+    running sum of a rank-2 sequence, and
+
+        tr(P P) = sum_d w_d <diag_d P, diag_d P^T>,  w_0 = 1, w_d = 2 (d > 0).
+
+    P is centrosymmetric (J P J = P), so diagonal d, of length L = m - d, is
+    a palindrome: only its first ceil(L/2) entries are formed, with weight
+    2, except the middle one (L odd), which has weight 1; that is the weight
+    clip(L - 2i, 0, 2) of entry i.  When a is b, P^T = P.  The diagonals are
+    taken _DIAGONAL_BLOCK at a time, so no array exceeds that many rows.
+    """
+    m = len(a)
+    first_ab = _first_row(a, b)
+    first_ba = first_ab if a is b else _first_row(b, a)
+    total = 0.0
+    for d0 in range(0, m, _DIAGONAL_BLOCK):
+        d = np.arange(d0, min(d0 + _DIAGONAL_BLOCK, m))
+        width = (m - d0 + 1) // 2
+        P = _half_diagonals(a, b, first_ab, d, width)
+        Pt = P if a is b else _half_diagonals(b, a, first_ba, d, width)
+        weights = (m - d[:, None]) - 2.0 * np.arange(width)
+        np.clip(weights, 0.0, 2.0, out=weights)
+        weights *= np.where(d > 0, 2.0, 1.0)[:, None]
+        weights *= P
+        total += float(np.vdot(weights, Pt))
+        del P, Pt, weights  # free this block before the next one is built
+    return total
 
 
 def _cholesky_factor(H: float, m: int) -> np.ndarray:
@@ -197,8 +262,7 @@ def _cholesky_factor(H: float, m: int) -> np.ndarray:
 
     A small diagonal jitter is tried before giving up on non-PSD input.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _require_sample_size(m)
     cov = _toeplitz(_rho_vector(H, m))
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
         try:
@@ -270,19 +334,18 @@ def gap_fast(cfg: BMConfig, m: int) -> float:
 
     with V = sum(R^n) (exact_variance) or sigma^2 m (asymptotic_sigma), so
     no order-n tensor is ever formed.  Three exact identities make it
-    cheap:
+    O(m^2) in time and O(m) in memory:
 
     * fold: the terms u and n-u are equal (tr(ABAB) = tr(BABA)), so only
       u <= n/2 is summed, with weight 2 unless 2u = n;
-    * centrosymmetric split: A_u and B_u are symmetric Toeplitz, so in the
-      basis of J-even and J-odd vectors (J the exchange matrix) both are
-      block diagonal, and tr(ABAB) = tr((A_e B_e)^2) + tr((A_o B_o)^2)
-      with blocks of size ceil(m/2) and floor(m/2);
+    * displacement: A_u and B_u are symmetric Toeplitz, so every diagonal
+      of P = A_u B_u is its first-row entry plus a running sum of a rank-2
+      sequence, and tr(ABAB) is a weighted sum of the products of the
+      diagonals of P and P^T, of which only the first halves are formed
+      (P is centrosymmetric); see ``_trace_abab``;
     * variance: sum(R^n) = m r_0^n + 2 sum_{d=1}^{m-1} (m-d) r_d^n.
-
-    Together they do a quarter (n = 2) or less of the matrix-product work
-    of summing the dense products R^u @ R^(n-u) over every u.
     """
+    _require_sample_size(m)
     n = cfg.n
     r = _rho_vector(cfg.H, m)
     if cfg.normalization == "exact_variance":
@@ -290,13 +353,11 @@ def gap_fast(cfg: BMConfig, m: int) -> float:
         variance = float(m * r[0] ** n + 2.0 * np.dot(weights, r[1:] ** n))
     else:
         variance = cfg.limit_variance * m
-    blocks = {v: _centrosymmetric_blocks(r**v) for v in range(1, n)}
+    powers = {v: r**v for v in range(1, n)}  # 2u = n passes one array twice
     total = 0.0
     for u in range(1, n // 2 + 1):
         weight = 1.0 if 2 * u == n else 2.0
-        for a, b in zip(blocks[u], blocks[n - u]):
-            M = a @ b
-            total += weight * float(np.sum(M * M.T))
+        total += weight * _trace_abab(powers[u], powers[n - u])
     return total / variance**2
 
 

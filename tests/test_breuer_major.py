@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,13 +183,42 @@ def test_gap_fast_matches_dense():
 @pytest.mark.parametrize("H", [0.3, 0.7])
 @pytest.mark.parametrize("normalization", ["exact_variance", "asymptotic_sigma"])
 def test_gap_fast_matches_dense_gram_oracle(n, H, normalization):
-    # odd and even m: the centrosymmetric split has a middle row for odd m
+    # odd and even m: a diagonal of odd length m - d has a middle entry
     for m in (1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 64):
         cfg = BMConfig(
             n=n, H=H, m_list=(m,), truncation=1000, normalization=normalization
         )
         want = dense_gap(cfg, m)
         assert abs(gap_fast(cfg, m) - want) <= 1e-12 * want, (m, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("H", [0.3, 0.7])
+@pytest.mark.parametrize("normalization", ["exact_variance", "asymptotic_sigma"])
+def test_gap_fast_matches_dense_oracle_at_block_boundaries(n, H, normalization):
+    # the diagonals of the Toeplitz product are taken a block at a time:
+    # sizes around one and two blocks, and odd m (a palindrome with a middle)
+    B = breuer_major._DIAGONAL_BLOCK
+    sizes = sorted({B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 101})
+    cfg = BMConfig(n=n, H=H, m_list=sizes, truncation=1000, normalization=normalization)
+    for m in sizes:
+        want = dense_gap(cfg, m)
+        assert abs(gap_fast(cfg, m) - want) <= 1e-12 * want, (m, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gap_fast_memory_is_linear_in_m(n):
+    # one (m/2)^2 float64 block at m = 4096 is 32 MiB; the traced peak must
+    # stay below half of that, so no m x m or (m/2)^2 array is ever formed
+    m = 4096
+    cfg = BMConfig(n=n, H=0.6, m_list=(m,), normalization="exact_variance")
+    tracemalloc.start()
+    try:
+        gap_fast(cfg, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("normalization", ["exact_variance", "asymptotic_sigma"])
@@ -253,6 +283,42 @@ def test_bmconfig_validation():
         BMConfig(n=2, H=0.3, m_list=(8, 16), normalization="bogus")
     with pytest.raises(ValueError):
         BMConfig(n=1, H=0.3, m_list=(8, 16))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"m_list": (0, 16, 64, 256)},
+        {"m_list": (-4, 4, 16, 64)},
+        {"m_list": (1.5, 4, 16, 64)},
+        {"m_list": (True, 4, 16, 64)},
+        {"n": 2.5},
+        {"n": True},
+        {"truncation": 2.5},
+        {"truncation": True},
+    ],
+)
+def test_bmconfig_rejects_impossible_sizes(kwargs):
+    args = {"n": 2, "H": 0.3, "m_list": (4, 16, 64, 256), **kwargs}
+    with pytest.raises(ValueError):
+        BMConfig(**args)
+
+
+def test_gap_fast_rejects_impossible_m():
+    cfg = BMConfig(n=2, H=0.3, m_list=(4, 16))
+    for m in (0, -3, 2.5, True, 4.0):
+        with pytest.raises(ValueError):
+            gap_fast(cfg, m)
+    assert gap_fast(cfg, np.int64(4)) == gap_fast(cfg, 4)
+
+
+def test_sigma2_tail_bound_checks_like_sigma2():
+    # outside summability the "bound" was the negative number -27.5
+    for args in ((2, 0.9, 10), (2, 0.3, 0), (3, 1.0, 10), (2, 0.0, 10)):
+        with pytest.raises(ValueError):
+            sigma2(*args)
+        with pytest.raises(ValueError):
+            sigma2_tail_bound(*args)
 
 
 def test_rate_fit_requirements():

@@ -153,6 +153,14 @@ def test_breuer_major_bad_m_list_exits_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("m", ["0,16,64,256", "-4,4,16,64"])
+def test_breuer_major_nonpositive_m_exits_two(capsys, m):
+    # a sample size below 1 is bad configuration, not a failed identity
+    code, out, err = run(capsys, "breuer-major", f"--m={m}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "m must be >= 1" in err
+
+
 def test_out_file_and_determinism(tmp_path, capsys):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["--out", str(p1), "constants", "--n-max", "10"]) == 0
