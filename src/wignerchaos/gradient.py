@@ -18,6 +18,14 @@ unsliced kernels with one extra contracted pair (see
 stays valid for kernels that are only mirror-symmetric; the closed form
 over contraction norms is a second, independent path that requires full
 symmetry and is used for cross-validation and for the bound constants.
+
+Q is produced one split at a time by ``_quadratic_form_slots``: each slot
+is summed into one owned array, its later terms through a single scratch
+buffer per contraction order, and its finiteness is checked once, on the
+sum.  ``gradient_quadratic_form`` collects the slots; ``main_bound_lhs``
+reduces each to its squared norm as it comes and adds those in sorted
+split order, as ``norm2`` does, so it never holds Q and returns the same
+float.
 """
 
 from __future__ import annotations
@@ -25,8 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import bounds
-from .bichaos import BiChaosElement, _sum_by_split, norm2, one_tensor_one
+from .bichaos import BiChaosElement, _sum_by_split
 from .chaos import (
     ChaosElement,
     _contraction_norms2,
@@ -35,8 +45,11 @@ from .chaos import (
 from .grid_kernel import (
     Kernel,
     SplitKernel,
+    _bicontract_array,
+    _require_capacity,
     adjoint_split,
     bicontract,
+    inner,
     is_symmetric,
     norm,
     slice_kernel,
@@ -86,6 +99,46 @@ def _slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
     return _sum_by_split(f.grid, terms)
 
 
+def _quadratic_form_slots(n: int, f: Kernel):
+    """Yield the quadratic form of f one split at a time, each as a wrapped SplitKernel.
+
+    Slot (v, 2(n-q) - v) of Q is the sum over s = max(0, v-(n-q))..min(v, n-q),
+    ascending, of the (q, s, v - s) bicontraction (see gradient_quadratic_form);
+    distinct q give distinct slot orders, so no slot is reached twice.  Each
+    slot is one array owned here: its first term is written straight into it
+    and each later term into one scratch buffer per q, reused, then added in
+    place.  Only that slot, the scratch buffer, the current left factor and
+    the n adjoint right factors are alive while a slot is built.
+
+    Every slot has order at most 2(n-1), so one cap check, made before any
+    factor is built, covers them all.  Finiteness is checked once per slot
+    sum, when it is wrapped: a non-finite term leaves the sum non-finite,
+    since inf and nan are absorbing under addition.
+    """
+    if n < 1 or f.order != n:
+        raise ValueError("gradient_quadratic_form needs f of order n >= 1")
+    grid = f.grid
+    _require_capacity(grid.cells, 2 * (n - 1))
+    rights = [adjoint_split(SplitKernel(f, (j, n - j))) for j in range(1, n + 1)]
+    for q in range(1, n + 1):
+        left = f * (q / n)
+        free = n - q  # free axes of each factor; the slot has order 2 * free
+        shape = (grid.cells,) * (2 * free)
+        scratch = np.empty(shape, f.data.dtype) if free > 0 else None
+        for v in range(2 * free + 1):
+            acc = np.empty(shape, f.data.dtype)
+            first = max(0, v - free)
+            for s in range(first, min(v, free) + 1):
+                right = rights[v - s]
+                out = acc if s == first else scratch
+                _bicontract_array(
+                    left, (s + 1, n - s - 1), right.kernel, right.split, 1, q - 1, out
+                )
+                if s > first:
+                    acc += scratch
+            yield SplitKernel(Kernel._wrap(grid, 2 * free, acc), (v, 2 * free - v))
+
+
 def gradient_quadratic_form(n: int, f: Kernel) -> BiChaosElement:
     """h * sum_s grad_s(L) # (grad_s f)* with L = N0^{-1} f = f/n, the cell sum folded.
 
@@ -112,25 +165,34 @@ def gradient_quadratic_form(n: int, f: Kernel) -> BiChaosElement:
         Q = sum_{q=1..n} sum_{s,s'=0..n-q}
               bicontract((q/n) f split (s+1, n-s-1), (f split (s'+1, n-s'-1))*, 1, q-1),
 
-    one bicontraction per (q, s, s'): sum_q (n-q+1)^2 in all.
+    one bicontraction per (q, s, s'): sum_q (n-q+1)^2 in all.  Its split is
+    (s + s', 2(n-q) - s - s'), so each slot is one q and a run of s; the
+    slots come from the streaming generator _quadratic_form_slots, which
+    sums each into one owned array.
     """
-    if n < 1 or f.order != n:
-        raise ValueError("gradient_quadratic_form needs f of order n >= 1")
-    lefts = {q: f * (q / n) for q in range(1, n + 1)}
-    rights = [adjoint_split(SplitKernel(f, (j, n - j))) for j in range(1, n + 1)]
-    terms = (
-        bicontract(SplitKernel(lefts[q], (s + 1, n - s - 1)), rights[sp], 1, q - 1)
-        for q in range(1, n + 1)
-        for s in range(n - q + 1)
-        for sp in range(n - q + 1)
-    )
-    return _sum_by_split(f.grid, terms)
+    return BiChaosElement(f.grid, {w.split: w for w in _quadratic_form_slots(n, f)})
 
 
 def main_bound_lhs(n: int, f: Kernel) -> float:
-    """Squared bi-norm of the quadratic form minus 1 (x) 1."""
-    Q = gradient_quadratic_form(n, f)
-    return norm2(Q - one_tensor_one(f.grid))
+    """Squared bi-norm of the quadratic form minus 1 (x) 1, without holding Q.
+
+    The slots of Q are orthogonal, so the squared bi-norm is the sum over
+    splits of h^order * ||slot - delta_{order,0}||^2.  Each slot is taken
+    from _quadratic_form_slots, reduced to that float and dropped, so at
+    most two slot arrays and one scratch buffer are alive at a time.  The
+    floats are added in sorted split order, the order norm2 uses, so the
+    result is bit-identical to norm2(gradient_quadratic_form(n, f) - 1 (x) 1).
+    """
+    parts = {}
+    for w in _quadratic_form_slots(n, f):
+        k = w.kernel
+        if k.order == 0:
+            k = Kernel._wrap(f.grid, 0, k.data - 1.0)
+        parts[w.split] = inner(k, k).real
+    total = 0.0
+    for split in sorted(parts):
+        total += parts[split]
+    return total
 
 
 def coefficient_c(u: int, v: int, n: int) -> int:

@@ -512,9 +512,11 @@ def bicontract(f: SplitKernel, g: SplitKernel, p: int, r: int) -> SplitKernel:
     return SplitKernel(Kernel._wrap(f.kernel.grid, sum(out_split), out), out_split)
 
 
-def _bicontract_array(f: Kernel, f_split, g: Kernel, g_split, p: int, r: int):
-    """The array of ``bicontract``: a fresh C-contiguous (N,)*order result.
+def _bicontract_array(f: Kernel, f_split, g: Kernel, g_split, p: int, r: int, out=None):
+    """The array of ``bicontract``: a C-contiguous (N,)*order result.
 
+    Written into ``out`` when given (an owned C-contiguous array of that
+    shape and of the result's dtype), else into a fresh array.
     Unvalidated; see the ``bicontract`` docstring for the identity used.
     """
     (n1, m1), (n2, m2) = f_split, g_split
@@ -534,10 +536,13 @@ def _bicontract_array(f: Kernel, f_split, g: Kernel, g_split, p: int, r: int):
     ).reshape(window, -1)
     if trail == 1:
         # one matrix product, not one matrix-vector product per lead index
-        out = np.matmul(f.data.reshape(lead, window), G)
+        a, b, out_shape = f.data.reshape(lead, window), G, (lead, -1)
     else:
-        out = np.matmul(G.T, f.data.reshape(lead, window, trail))
-    return out.reshape((cells,) * order)
+        a, b, out_shape = G.T, f.data.reshape(lead, window, trail), (lead, -1, trail)
+    if out is None:
+        return np.matmul(a, b).reshape((cells,) * order)
+    np.matmul(a, b, out=out.reshape(out_shape))
+    return out
 
 
 def slice_kernel(f: Kernel, k: int, s: int) -> SplitKernel:

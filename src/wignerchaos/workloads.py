@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .grid_kernel import GridSpec, Kernel, norm, symmetrize
+from .grid_kernel import GridSpec, Kernel, _require_capacity, norm, symmetrize
 
 __all__ = ["counterexample_kernel", "random_symmetric_unit_kernel"]
 
@@ -27,6 +27,7 @@ def random_symmetric_unit_kernel(
     rejected; the entries do not depend on the grid length, so neither
     does the decision.
     """
+    _require_capacity(grid.cells, order)  # before the draw, not after it
     rng = np.random.Generator(np.random.Philox(key=[seed, index]))
     while True:
         raw = rng.uniform(-1.0, 1.0, size=(grid.cells,) * order)

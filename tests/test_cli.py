@@ -124,6 +124,31 @@ def test_bound_check_seeds_differ(capsys):
     assert out1 == out3
 
 
+def test_bound_check_tiny_tol_leaves_closed_form_empty(capsys):
+    # at this tol trial 35 passes the mirror and unit-norm checks but not
+    # is_symmetric, so it has no closed form: its field is empty in CSV and
+    # null in JSON, and it is left out of max_path_diff
+    argv = (
+        "--tol", "4.641588833612773e-16", "bound-check", "--n", "4", "--grid", "2",
+        "--trials", "36", "--seed", "0",
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[3:] if not line.startswith("#")]
+    assert len(rows) == 36 and rows[35][3] == ""
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["rows"][35]["lhs_closed_form"] is None
+    diffs = [
+        abs(row["lhs"] - row["lhs_closed_form"])
+        for row in doc["rows"]
+        if row["lhs_closed_form"] is not None
+    ]
+    assert len(diffs) < 36
+    assert doc["summary"]["max_path_diff"] == max(diffs)
+
+
 def test_breuer_major_csv(capsys):
     code, out, err = run(
         capsys, "breuer-major", "--n", "2", "--H", "0.5", "--m", "16,32,64,128"

@@ -8,6 +8,7 @@ bicontraction engine.
 """
 
 import math
+import tracemalloc
 from dataclasses import asdict
 from importlib import import_module
 
@@ -29,6 +30,7 @@ from wignerchaos.gradient import (
 from wignerchaos.grid_kernel import (
     GridSpec,
     Kernel,
+    MemoryCapError,
     cell_indicator,
     contract,
     is_mirror_symmetric,
@@ -252,40 +254,122 @@ def test_folded_quadratic_form_matches_cell_loop():
                 assert err <= 1e-12, (n, cells, split)
 
 
-def test_quadratic_form_bicontract_calls_do_not_grow_with_cells(monkeypatch):
+def count_products(monkeypatch):
+    # every product of the quadratic form goes through this private seam
     calls = []
-    original = gradient_module.bicontract
+    original = gradient_module._bicontract_array
 
     def counting(*args):
         calls.append(None)
         return original(*args)
 
-    monkeypatch.setattr(gradient_module, "bicontract", counting)
-    counts = []
-    for cells in (2, 6):
-        f = random_complex_kernel(GridSpec(1.0, cells), 3, seed=43, index=cells)
-        calls.clear()
-        gradient_quadratic_form(3, f)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    monkeypatch.setattr(gradient_module, "_bicontract_array", counting)
+    return calls
+
+
+def test_quadratic_form_bicontract_calls_do_not_grow_with_cells(monkeypatch):
+    calls = count_products(monkeypatch)
+    for route in (gradient_quadratic_form, main_bound_lhs):
+        counts = []
+        for cells in (2, 6):
+            f = random_complex_kernel(GridSpec(1.0, cells), 3, seed=43, index=cells)
+            calls.clear()
+            route(3, f)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, route.__name__
 
 
 def test_quadratic_form_makes_one_bicontraction_per_q_s_s_prime(monkeypatch):
     # terms (k, j, p, r) with equal q = p + r, s = k - p and s' = j - p are
     # one tensor, computed once: sum_q (n - q + 1)^2 calls
-    calls = []
-    original = gradient_module.bicontract
+    calls = count_products(monkeypatch)
+    for route in (gradient_quadratic_form, main_bound_lhs):
+        for n in range(1, 6):
+            f = random_complex_kernel(GridSpec(1.0, 2), n, seed=44, index=n)
+            calls.clear()
+            route(n, f)
+            want = sum((n - q + 1) ** 2 for q in range(1, n + 1))
+            assert len(calls) == want, (route.__name__, n)
 
-    def counting(*args):
-        calls.append(None)
-        return original(*args)
 
-    monkeypatch.setattr(gradient_module, "bicontract", counting)
+def streamed_route_kernels(n, cells):
+    # real, complex and symmetric kernels; the first two have no symmetry
+    g = GridSpec(1.5, cells)
+    rng = np.random.default_rng(100 * n + cells)
+    real = Kernel(g, n, rng.standard_normal((cells,) * n))
+    return [
+        real,
+        random_complex_kernel(g, n, seed=47, index=10 * n + cells),
+        symmetrize(real),
+    ]
+
+
+def test_streamed_lhs_is_bit_identical_to_norm2_of_quadratic_form():
     for n in range(1, 6):
-        f = random_complex_kernel(GridSpec(1.0, 2), n, seed=44, index=n)
-        calls.clear()
-        gradient_quadratic_form(n, f)
-        assert len(calls) == sum((n - q + 1) ** 2 for q in range(1, n + 1)), n
+        for cells in range(1, 5):
+            for f in streamed_route_kernels(n, cells):
+                want = norm2(gradient_quadratic_form(n, f) - one_tensor_one(f.grid))
+                assert main_bound_lhs(n, f) == want, (n, cells, f.data.dtype)
+
+
+def test_streamed_lhs_matches_cell_loop():
+    for n in range(1, 6):
+        for cells in range(1, 5):
+            for f in streamed_route_kernels(n, cells):
+                want = norm2(quadratic_form_by_cells(n, f) - one_tensor_one(f.grid))
+                got = main_bound_lhs(n, f)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, cells)
+
+
+def test_streamed_lhs_on_counterexample_follows_formula():
+    for N in range(2, 25):
+        lhs = main_bound_lhs(3, counterexample_kernel(N))
+        assert lhs == pytest.approx((1 + 16 / N + 26 / N**2) / 9, rel=1e-12), N
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_streamed_lhs_holds_few_slots():
+    # Q itself has 2n - 1 slots of the largest order 2(n - 1); streaming
+    # keeps at most two of them and one scratch buffer alive
+    for f in (
+        random_symmetric_unit_kernel(GridSpec(1.0, 8), 4, seed=59, index=0),
+        random_symmetric_unit_kernel(GridSpec(1.0, 5), 5, seed=59, index=1),
+        counterexample_kernel(24),
+    ):
+        n = f.order
+        slot_bytes = f.grid.cells ** (2 * n - 2) * f.data.itemsize
+        assert traced_peak(main_bound_lhs, n, f) < 4 * slot_bytes, (n, f.grid.cells)
+
+
+@pytest.mark.parametrize("route", [gradient_quadratic_form, main_bound_lhs])
+def test_quadratic_form_cap_fires_before_any_factor(route):
+    # order-4 slots on 100 cells exceed the cap; the refusal must come
+    # before the scaled lefts and the adjoint rights (each as large as f)
+    rng = np.random.default_rng(61)
+    f = Kernel(GridSpec(1.0, 100), 3, rng.standard_normal((100,) * 3))
+
+    def refused():
+        with pytest.raises(MemoryCapError):
+            route(3, f)
+
+    assert traced_peak(refused) < 2 * f.data.nbytes
+
+
+def test_streamed_lhs_rejects_overflowing_products():
+    # each term overflows; the check on the slot sums still refuses them
+    f = Kernel(GridSpec(1.0, 2), 2, np.full((2, 2), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="kernel entries must be finite"):
+            main_bound_lhs(2, f)
 
 
 def test_real_kernels_match_their_complex_embeddings():

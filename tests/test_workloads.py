@@ -2,9 +2,17 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from importlib import import_module
 from pathlib import Path
 
+import pytest
+
 import wignerchaos
+from wignerchaos.grid_kernel import GridSpec, MemoryCapError
+from wignerchaos.workloads import random_symmetric_unit_kernel
+
+grid_kernel = import_module("wignerchaos.grid_kernel")
 
 # Draws at T = 1e-8..1e8 must equal the T = 1 draw rescaled by T^(-n/2).
 # A scale-dependent rejection loops forever, so the draws run in a child
@@ -39,3 +47,16 @@ def test_random_symmetric_unit_kernel_terminates_on_every_scale():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_random_symmetric_unit_kernel_refuses_over_cap_before_drawing(monkeypatch):
+    # 64**3 entries exceed a cap of 2**16: refused before the 2 MiB draw
+    monkeypatch.setattr(grid_kernel, "MAX_ENTRIES", 2**16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryCapError):
+            random_symmetric_unit_kernel(GridSpec(1.0, 64), 3, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
