@@ -26,10 +26,8 @@ from .grid_kernel import (
     kernel_to_bytes,
     kernel_to_json,
     kernels_close,
-    load_kernel,
     max_abs_diff,
     norm,
-    save_kernel,
     slice_kernel,
     symmetrize,
     zero_kernel,

@@ -70,7 +70,6 @@ class BMConfig:
     normalization: str = "exact_variance"
 
     def __post_init__(self):
-        _require_int("n", self.n)
         if self.n < 2:
             raise ValueError("n must be >= 2 (at n = 1 there is no gap to measure)")
         _require_summable(self.n, self.H)
@@ -120,6 +119,9 @@ def _require_summable(n: int, H: float) -> None:
     |rho_H(k)| decays like k^(2H-2), so the sum is finite iff
     n(2 - 2H) > 1, that is H < (2n-1)/(2n).
     """
+    _require_int("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < H < 1.0:
         raise ValueError("H must lie in (0, 1)")
     if H >= (2 * n - 1) / (2 * n):
@@ -139,15 +141,12 @@ def rho(H: float, k: int) -> float:
     """Autocovariance of unit-step fractional increments at lag k."""
     if not 0.0 < H < 1.0:
         raise ValueError("H must lie in (0, 1)")
-    a = abs(k)
-    return 0.5 * ((a + 1) ** (2 * H) + abs(a - 1) ** (2 * H) - 2 * a ** (2 * H))
+    return float(_rho_at(H, float(abs(k))))
 
 
-def _rho_vector(H: float, count: int) -> np.ndarray:
-    k = np.arange(count, dtype=np.float64)
-    return 0.5 * (
-        (k + 1) ** (2 * H) + np.abs(k - 1) ** (2 * H) - 2 * k ** (2 * H)
-    )
+def _rho_at(H: float, k):
+    """rho_H at the lags k >= 0, a float or a float64 array."""
+    return 0.5 * ((k + 1) ** (2 * H) + np.abs(k - 1) ** (2 * H) - 2 * k ** (2 * H))
 
 
 def sigma2(n: int, H: float, K: int) -> float:
@@ -157,10 +156,11 @@ def sigma2(n: int, H: float, K: int) -> float:
     signed powers, which is the variance the normalized sums converge to.
     Use ``sigma2_tail_bound`` for the truncation error.
     """
+    _require_int("K", K)
     if K < 1:
         raise ValueError("K must be >= 1")
     _require_summable(n, H)
-    r = _rho_vector(H, K + 1)
+    r = _rho_at(H, np.arange(K + 1, dtype=np.float64))
     return float(r[0] ** n + 2.0 * np.sum(r[1:] ** n))
 
 
@@ -170,6 +170,7 @@ def sigma2_tail_bound(n: int, H: float, K: int) -> float:
     Same preconditions as ``sigma2``: outside them the series diverges and
     the formula below is not a bound (it can even be negative).
     """
+    _require_int("K", K)
     if K < 1:
         raise ValueError("K must be >= 1")
     _require_summable(n, H)
@@ -263,7 +264,8 @@ def _cholesky_factor(H: float, m: int) -> np.ndarray:
     A small diagonal jitter is tried before giving up on non-PSD input.
     """
     _require_sample_size(m)
-    cov = _toeplitz(_rho_vector(H, m))
+    _require_capacity(m, 2)  # before the m x m covariance and factor
+    cov = _toeplitz(_rho_at(H, np.arange(m, dtype=np.float64)))
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
         try:
             return np.linalg.cholesky(cov + jitter * np.eye(m))
@@ -279,6 +281,9 @@ def increment_kernels(H: float, m: int) -> list[Kernel]:
 
     Rows of the Cholesky factor of the Toeplitz covariance; their inner
     products reproduce rho_H(|i-j|) exactly up to factorization rounding.
+    These are the paper's increments as single integrals.  vm_kernel reads
+    the factor directly; the tests check the Gram identity here, and the
+    benchmark's tracer wraps this binding.
     """
     L = _cholesky_factor(H, m)
     grid = GridSpec(float(m), m)
@@ -286,7 +291,13 @@ def increment_kernels(H: float, m: int) -> list[Kernel]:
 
 
 def chebyshev_U(n: int, x: float) -> float:
-    """Chebyshev polynomials for the semicircle: U_{k+1} = x U_k - U_{k-1}."""
+    """Chebyshev polynomials for the semicircle: U_{k+1} = x U_k - U_{k-1}.
+
+    The paper's transform of the increments.  vm_kernel never evaluates it:
+    U_n(I_1(f)) = I_n(f^{(x) n}) for a unit f lets it build the kernel
+    directly.  It stays as the definition, checked by the tests.
+    """
+    _require_int("n", n)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
@@ -347,7 +358,7 @@ def gap_fast(cfg: BMConfig, m: int) -> float:
     """
     _require_sample_size(m)
     n = cfg.n
-    r = _rho_vector(cfg.H, m)
+    r = _rho_at(cfg.H, np.arange(m, dtype=np.float64))
     if cfg.normalization == "exact_variance":
         weights = np.arange(m - 1, 0, -1, dtype=np.float64)  # m - d, d = 1..m-1
         variance = float(m * r[0] ** n + 2.0 * np.dot(weights, r[1:] ** n))

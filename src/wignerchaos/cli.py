@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .bichaos import norm2
+from .bichaos import BiChaosElement, norm2
 from .breuer_major import NORMALIZATIONS, BMConfig, rate_fit
 from .chaos import fourth_moment_gap
-from .gradient import _slice_pair_form, bound_report, main_bound_lhs
-from .grid_kernel import GridSpec, inner
+from .gradient import bound_report, main_bound_lhs
+from .grid_kernel import GridSpec, SplitKernel, adjoint_split, bicontract, inner
 from .workloads import counterexample_kernel, random_symmetric_unit_kernel
 
 __all__ = [
@@ -110,8 +110,15 @@ def run_counterexample(N: list[int], tol: float):
         f = counterexample_kernel(size)
         norm_sq = inner(f, f).real
         gap = fourth_moment_gap(f, tol)
-        # the (k, q) = (2, 2) slice-pair term of the gradient quadratic form
-        summand = norm2(_slice_pair_form(f, 2, 2))
+        # the (k, j) = (2, 2) slice-pair term of the quadratic form, left factor
+        # f: the (q, s, s') products with s = s' = 2 - p, q = p + r, for p = 1, 2
+        # and r = 0, 1, each in its own split
+        terms = {}
+        for q, s in ((1, 1), (2, 1), (2, 0), (3, 0)):
+            w = SplitKernel(f, (s + 1, 2 - s))
+            term = bicontract(w, adjoint_split(w), 1, q - 1)
+            terms[term.split] = term
+        summand = norm2(BiChaosElement(f.grid, terms))
         lhs = main_bound_lhs(3, f)
         rows.append(
             {

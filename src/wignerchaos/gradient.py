@@ -48,7 +48,6 @@ from .grid_kernel import (
     _bicontract_array,
     _require_capacity,
     adjoint_split,
-    bicontract,
     inner,
     is_symmetric,
     norm,
@@ -68,35 +67,26 @@ __all__ = [
 
 
 def gradient(n: int, f: Kernel, s: int) -> BiChaosElement:
-    """grad_s I_n(f) as a sum of bi-integrals of argument slices."""
+    """grad_s I_n(f) as a sum of bi-integrals of argument slices.
+
+    The paper's free gradient, by its definition.  The library folds the
+    cell sum of Q into one more contracted pair instead; the tests build Q
+    from this function as its oracle, and the benchmark's tracer wraps it.
+    """
     if n < 1 or f.order != n:
         raise ValueError("gradient needs f of order n >= 1")
     return _sum_by_split(f.grid, (slice_kernel(f, k, s) for k in range(1, n + 1)))
 
 
 def number_inverse(X: ChaosElement) -> ChaosElement:
-    """Pseudo-inverse of the number operator: order n -> 1/n, constants -> 0."""
+    """Pseudo-inverse of the number operator: order n -> 1/n, constants -> 0.
+
+    N0^{-1} of the paper's quadratic form.  On a single integral it is the
+    factor 1/n that the library folds into the weights q/n of Q.
+    """
     return ChaosElement(
         X.grid, {n: f * (1.0 / n) for n, f in X.coeffs.items() if n >= 1}
     )
-
-
-def _slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
-    """h * sum_s (f sliced at argument k, cell s) # (f sliced at j, cell s)*.
-
-    bicontract's p-pair term of f in the split (k, n-k) and the blockwise
-    adjoint of f in the split (j, n-j) is the slices' (p-1)-pair term
-    summed over s (see gradient_quadratic_form).
-    """
-    n = f.order
-    left = SplitKernel(f, (k, n - k))
-    right = adjoint_split(SplitKernel(f, (j, n - j)))
-    terms = (
-        bicontract(left, right, p, r)
-        for p in range(1, min(k, j) + 1)
-        for r in range(min(n - k, n - j) + 1)
-    )
-    return _sum_by_split(f.grid, terms)
 
 
 def _quadratic_form_slots(n: int, f: Kernel):

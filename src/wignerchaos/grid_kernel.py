@@ -58,10 +58,8 @@ __all__ = [
     "kernel_to_bytes",
     "kernel_to_json",
     "kernels_close",
-    "load_kernel",
     "max_abs_diff",
     "norm",
-    "save_kernel",
     "slice_kernel",
     "symmetrize",
     "zero_kernel",
@@ -248,9 +246,6 @@ class Kernel:
     def __truediv__(self, scalar):
         return self * (1.0 / _scalar(scalar))
 
-    def norm(self) -> float:
-        return norm(self)
-
 
 def _scalar(value) -> float | complex:
     # float or complex, so that an array raises here instead of broadcasting
@@ -314,6 +309,7 @@ def constant_kernel(grid: GridSpec, value: complex) -> Kernel:
 
 def cell_indicator(grid: GridSpec, cell: int, normalized: bool = False) -> Kernel:
     """Order-1 indicator of one grid cell; normalized=True rescales to norm 1."""
+    _require_capacity(grid.cells, 1)
     _require_int("cell", cell)
     if not 0 <= cell < grid.cells:
         raise ValueError(f"cell {cell} out of range [0, {grid.cells})")
@@ -601,16 +597,6 @@ def kernel_from_bytes(buf: bytes) -> Kernel:
         raise ValueError(f"record length {len(buf)}, expected {expected}")
     data = np.frombuffer(buf, dtype="<c16", offset=_HEADER.size)
     return Kernel(grid, int(order), data)
-
-
-def save_kernel(f: Kernel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(kernel_to_bytes(f))
-
-
-def load_kernel(path) -> Kernel:
-    with open(path, "rb") as fh:
-        return kernel_from_bytes(fh.read())
 
 
 def kernel_to_json(f: Kernel) -> dict:

@@ -41,6 +41,7 @@ def counterexample_kernel(N: int) -> Kernel:
 
     Not fully symmetric for N >= 2; its fourth-moment gap is 2/N.
     """
+    _require_capacity(N, 3)  # before the N^3 array, not after it
     if N < 1:
         raise ValueError("N must be >= 1")
     grid = GridSpec(1.0, N)

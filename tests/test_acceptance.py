@@ -43,7 +43,7 @@ from wignerchaos.chaos import (
     trace,
     trace_of_product,
 )
-from wignerchaos.gradient import _slice_pair_form, bound_report, main_bound_lhs
+from wignerchaos.gradient import bound_report, main_bound_lhs
 from wignerchaos.grid_kernel import (
     GridSpec,
     Kernel,
@@ -55,6 +55,8 @@ from wignerchaos.grid_kernel import (
     symmetrize,
 )
 from wignerchaos.workloads import counterexample_kernel, random_symmetric_unit_kernel
+
+from oracles import slice_pair_form
 
 
 def rand_complex(grid, order, seed):
@@ -99,7 +101,7 @@ def test_acceptance_2_counterexample_regression():
         nsq = inner(f, f).real
         gap = fourth_moment_gap(f)
         # the (k, q) = (2, 2) slice-pair term of the gradient quadratic form
-        summand = norm2(_slice_pair_form(f, 2, 2))
+        summand = norm2(slice_pair_form(f, 2, 2))
         lhs = main_bound_lhs(3, f)
         if abs(nsq - 1.0) > 1e-9:
             failures.append(f"N={N}: ||f||^2 = {nsq!r} != 1")

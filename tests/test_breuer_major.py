@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wignerchaos import breuer_major
+from wignerchaos import breuer_major, grid_kernel
 from wignerchaos.breuer_major import (
     BMConfig,
     alpha,
@@ -27,7 +27,14 @@ from wignerchaos.chaos import (
     spectral_moments,
     trace_of_product,
 )
-from wignerchaos.grid_kernel import GridSpec, Kernel, inner, is_mirror_symmetric, norm
+from wignerchaos.grid_kernel import (
+    GridSpec,
+    Kernel,
+    MemoryCapError,
+    inner,
+    is_mirror_symmetric,
+    norm,
+)
 
 
 def dense_gap(cfg, m):
@@ -114,6 +121,10 @@ def test_chebyshev_scalar_values():
             assert chebyshev_U(n, 2 * math.cos(t)) == pytest.approx(
                 math.sin((n + 1) * t) / math.sin(t), abs=1e-10
             )
+    # True used to return x, as U_1
+    for n in (True, 2.5):
+        with pytest.raises(ValueError):
+            chebyshev_U(n, 0.5)
 
 
 def test_chebyshev_chaos_identity():
@@ -272,6 +283,8 @@ def test_alpha_branches():
         alpha(2, 0.0)
     with pytest.raises(ValueError):
         alpha(1, 0.3)
+    with pytest.raises(ValueError):
+        alpha(2.5, 0.7)
 
 
 def test_bmconfig_validation():
@@ -313,12 +326,31 @@ def test_gap_fast_rejects_impossible_m():
 
 
 def test_sigma2_tail_bound_checks_like_sigma2():
-    # outside summability the "bound" was the negative number -27.5
-    for args in ((2, 0.9, 10), (2, 0.3, 0), (3, 1.0, 10), (2, 0.0, 10)):
+    # outside summability the "bound" was the negative number -27.5; a
+    # fractional K summed like the next integer, a fractional n gave nan,
+    # and n = 0 divided by zero
+    for args in (
+        (2, 0.9, 10), (2, 0.3, 0), (3, 1.0, 10), (2, 0.0, 10),
+        (2, 0.3, 2.5), (2, 0.3, True), (2.5, 0.3, 10), (True, 0.3, 10), (0, 0.3, 10),
+    ):
         with pytest.raises(ValueError):
             sigma2(*args)
         with pytest.raises(ValueError):
             sigma2_tail_bound(*args)
+
+
+def test_increment_kernels_refuse_over_cap_before_allocating(monkeypatch):
+    # the 512 x 512 covariance and factor exceed a cap of 2**10 entries;
+    # they used to be built, 2 MiB each, and 512 kernels came back
+    monkeypatch.setattr(grid_kernel, "MAX_ENTRIES", 2**10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryCapError):
+            increment_kernels(0.3, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_rate_fit_requirements():

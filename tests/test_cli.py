@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import wignerchaos
+from wignerchaos.bichaos import norm2
 from wignerchaos.cli import main
 from wignerchaos.grid_kernel import (
     GridSpec,
@@ -18,6 +19,8 @@ from wignerchaos.grid_kernel import (
     norm,
 )
 from wignerchaos.workloads import counterexample_kernel, random_symmetric_unit_kernel
+
+from oracles import slice_pair_form
 
 
 def run(capsys, *argv):
@@ -89,6 +92,25 @@ def test_counterexample_norm_and_gap_columns(capsys):
     assert row["gap"] == pytest.approx(1.0)
     assert row["summand_norm2"] == pytest.approx(3.0)
     assert row["lhs"] == pytest.approx((1 + 16 / 2 + 26 / 4) / 9)
+
+
+def test_counterexample_summand_equals_slice_pair_oracle(capsys):
+    # the table sums four (q, s, s') products of the quadratic form; the
+    # oracle enumerates the same term in its (k, j, p, r) form
+    sizes = list(range(1, 25))
+    _, out, _ = run(capsys, "--format", "json", "counterexample", "--N", ",".join(map(str, sizes)))
+    rows = json.loads(out)["rows"]
+    assert [row["N"] for row in rows] == sizes
+    for row in rows:
+        want = norm2(slice_pair_form(counterexample_kernel(row["N"]), 2, 2))
+        assert row["summand_norm2"] == want, row["N"]
+
+
+def test_counterexample_over_cap_exits_two(capsys):
+    # refused before the N^3 array: exit 1 would claim a failed identity
+    code, out, err = run(capsys, "counterexample", "--N", "100000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "exceeds the cap" in err
 
 
 def test_bound_check_n2_exit_zero(capsys):

@@ -28,10 +28,8 @@ from wignerchaos.grid_kernel import (
     kernel_to_bytes,
     kernel_to_json,
     kernels_close,
-    load_kernel,
     max_abs_diff,
     norm,
-    save_kernel,
     slice_kernel,
     symmetrize,
     zero_kernel,
@@ -443,6 +441,19 @@ def test_memory_cap_fires_before_any_contraction_work(monkeypatch):
     assert peak < f.data.nbytes
 
 
+def test_cell_indicator_refuses_over_cap_before_allocating(monkeypatch):
+    # 2**18 cells exceed a cap of 2**16: refused before the 2 MiB array
+    monkeypatch.setattr(grid_kernel_module, "MAX_ENTRIES", 2**16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryCapError):
+            cell_indicator(GridSpec(1.0, 2**18), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_adjoint_split_reverses_within_blocks():
     w = SplitKernel(rand(3, seed=23), (2, 1))
     ws = adjoint_split(w)
@@ -572,14 +583,6 @@ def test_json_rejects_huge_order_before_allocating():
         }
         with pytest.raises(MemoryCapError):
             kernel_from_json(doc)
-
-
-def test_file_roundtrip(tmp_path):
-    f = rand(3, seed=29)
-    path = tmp_path / "k.wgk"
-    save_kernel(f, path)
-    g = load_kernel(path)
-    assert np.array_equal(g.data, f.data)
 
 
 def test_json_roundtrip():

@@ -10,7 +10,7 @@ import pytest
 
 import wignerchaos
 from wignerchaos.grid_kernel import GridSpec, MemoryCapError
-from wignerchaos.workloads import random_symmetric_unit_kernel
+from wignerchaos.workloads import counterexample_kernel, random_symmetric_unit_kernel
 
 grid_kernel = import_module("wignerchaos.grid_kernel")
 
@@ -56,6 +56,19 @@ def test_random_symmetric_unit_kernel_refuses_over_cap_before_drawing(monkeypatc
     try:
         with pytest.raises(MemoryCapError):
             random_symmetric_unit_kernel(GridSpec(1.0, 64), 3, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_counterexample_kernel_refuses_over_cap_before_allocating(monkeypatch):
+    # 64**3 entries exceed a cap of 2**16: refused before the 2 MiB array
+    monkeypatch.setattr(grid_kernel, "MAX_ENTRIES", 2**16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryCapError):
+            counterexample_kernel(64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
