@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .grid_kernel import _require_int
+
 __all__ = [
     "ConstantsRow",
     "C",
@@ -32,26 +34,20 @@ __all__ = [
 
 
 def P(n: int, u) -> float:
-    """P_n(u) = (1/3) u^2 (n-u+1) (2(n-u)^2 + 4(n-u) + 3).
+    """P_n(u) = (1/3) u^2 (n-u+1) (2(n-u)^2 + 4(n-u) + 3), at integer or real u.
 
-    Exact (integer arithmetic) for integer u; float formula otherwise, so
-    the same function serves the integer maximization and the stationarity
-    checks at real u0.
+    One expression serves the integer maximization and the stationarity
+    checks at real u0.  At integer u the product is an exact Python
+    integer and the one division by 3 rounds it correctly.
     """
-    if n < 2:
-        raise ValueError("P is defined for n >= 2")
-    if isinstance(u, int):
-        w = n - u
-        num = u * u * (w + 1) * (2 * w * w + 4 * w + 3)
-        if num % 3 == 0:
-            return float(num // 3)
-        return num / 3.0
+    _require_int("n", n, 2)
     w = n - u
-    return u * u * (w + 1.0) * (2.0 * w * w + 4.0 * w + 3.0) / 3.0
+    return u * u * (w + 1) * (2 * w * w + 4 * w + 3) / 3
 
 
 def P_prime(n: int, u: float) -> float:
     """dP_n/du, from the product rule with w = n - u (dw/du = -1)."""
+    _require_int("n", n, 2)
     w = n - u
     q = 2.0 * w * w + 4.0 * w + 3.0
     return (2.0 * u * (w + 1.0) * q - u * u * (q + 4.0 * (w + 1.0) ** 2)) / 3.0
@@ -59,8 +55,7 @@ def P_prime(n: int, u: float) -> float:
 
 def u0(n: int) -> float:
     """Closed-form stationary point of P_n in (1, n-1) for n >= 3."""
-    if n < 2:
-        raise ValueError("u0 is defined for n >= 2")
+    _require_int("n", n, 2)
     s = math.sqrt(4.0 * n**4 + 16.0 * n**3 + 20.0 * n**2 + 8.0 * n + 5.0)
     r = (4.0 * n**3 + 12.0 * n**2 + 22.0 * n + 14.0 + 5.0 * math.sqrt(2.0) * s) ** (
         1.0 / 3.0
@@ -86,8 +81,7 @@ def C(n: int) -> ConstantsRow:
     The floor/ceil shortcut around u0 is evaluated too (clamped into
     [1, n-1]) and reported in ``floor_ceil_c_n`` for comparison.
     """
-    if n < 2:
-        raise ValueError("C is defined for n >= 2")
+    _require_int("n", n, 2)
     values = {u: P(n, u) for u in range(1, n)}
     argmax_u = max(values, key=lambda u: (values[u], -u))
     p_max = values[argmax_u]
@@ -121,8 +115,7 @@ def dc2_bound_from_lhs(lhs: float) -> float:
 
 def catalan(k: int) -> int:
     """Catalan number by the integer recurrence c_{j+1} = c_j 2(2j+1)/(j+2)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _require_int("k", k, 0)
     c = 1
     for j in range(k):
         c = c * 2 * (2 * j + 1) // (j + 2)
@@ -133,8 +126,7 @@ def semicircle_moment(t: float, k: int) -> float:
     """Moments of the centered semicircular law with variance t."""
     if t <= 0:
         raise ValueError("t must be > 0")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _require_int("k", k, 0)
     if k % 2 == 1:
         return 0.0
     return t ** (k // 2) * catalan(k // 2)

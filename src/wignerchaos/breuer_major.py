@@ -70,19 +70,16 @@ class BMConfig:
     normalization: str = "exact_variance"
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2 (at n = 1 there is no gap to measure)")
+        _require_int("n", self.n, 2)  # at n = 1 there is no gap to measure
         _require_summable(self.n, self.H)
         object.__setattr__(self, "m_list", tuple(self.m_list))
         for m in self.m_list:
-            _require_sample_size(m)
+            _require_int("m", m, 1)
         if any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
             raise ValueError("m_list must be strictly increasing")
         if not self.m_list:
             raise ValueError("m_list must be nonempty")
-        _require_int("truncation", self.truncation)
-        if self.truncation < 1:
-            raise ValueError("truncation must be >= 1")
+        _require_int("truncation", self.truncation, 1)
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
 
@@ -119,11 +116,8 @@ def _require_summable(n: int, H: float) -> None:
     |rho_H(k)| decays like k^(2H-2), so the sum is finite iff
     n(2 - 2H) > 1, that is H < (2n-1)/(2n).
     """
-    _require_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < H < 1.0:
-        raise ValueError("H must lie in (0, 1)")
+    _require_int("n", n, 1)
+    _require_hurst(H)
     if H >= (2 * n - 1) / (2 * n):
         raise ValueError(
             f"H={H} violates the summability condition "
@@ -131,16 +125,16 @@ def _require_summable(n: int, H: float) -> None:
         )
 
 
-def _require_sample_size(m) -> None:
-    _require_int("m", m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+def _require_hurst(H: float) -> None:
+    # nan fails the comparison too
+    if not 0.0 < H < 1.0:
+        raise ValueError("H must lie in (0, 1)")
 
 
 def rho(H: float, k: int) -> float:
-    """Autocovariance of unit-step fractional increments at lag k."""
-    if not 0.0 < H < 1.0:
-        raise ValueError("H must lie in (0, 1)")
+    """Autocovariance of unit-step fractional increments at lag k (of either sign)."""
+    _require_hurst(H)
+    _require_int("k", k, -math.inf)
     return float(_rho_at(H, float(abs(k))))
 
 
@@ -156,9 +150,7 @@ def sigma2(n: int, H: float, K: int) -> float:
     signed powers, which is the variance the normalized sums converge to.
     Use ``sigma2_tail_bound`` for the truncation error.
     """
-    _require_int("K", K)
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _require_int("K", K, 1)
     _require_summable(n, H)
     r = _rho_at(H, np.arange(K + 1, dtype=np.float64))
     return float(r[0] ** n + 2.0 * np.sum(r[1:] ** n))
@@ -170,9 +162,7 @@ def sigma2_tail_bound(n: int, H: float, K: int) -> float:
     Same preconditions as ``sigma2``: outside them the series diverges and
     the formula below is not a bound (it can even be negative).
     """
-    _require_int("K", K)
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _require_int("K", K, 1)
     _require_summable(n, H)
     if H == 0.5:
         return 0.0
@@ -263,7 +253,8 @@ def _cholesky_factor(H: float, m: int) -> np.ndarray:
 
     A small diagonal jitter is tried before giving up on non-PSD input.
     """
-    _require_sample_size(m)
+    _require_hurst(H)
+    _require_int("m", m, 1)
     _require_capacity(m, 2)  # before the m x m covariance and factor
     cov = _toeplitz(_rho_at(H, np.arange(m, dtype=np.float64)))
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
@@ -297,9 +288,7 @@ def chebyshev_U(n: int, x: float) -> float:
     U_n(I_1(f)) = I_n(f^{(x) n}) for a unit f lets it build the kernel
     directly.  It stays as the definition, checked by the tests.
     """
-    _require_int("n", n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_int("n", n, 0)
     if n == 0:
         return 1.0
     prev, cur = 1.0, float(x)
@@ -315,6 +304,7 @@ def vm_kernel(cfg: BMConfig, m: int) -> Kernel:
     K^T L, where L is the Cholesky factor (row k is increment k) and row k
     of K is the (n-1)-fold Kronecker power of L[k]; for n = 2 it is L^T L.
     """
+    _require_int("m", m, 1)
     if m not in cfg.m_list:
         raise ValueError(f"m={m} is not in the configured m_list")
     _require_capacity(m, cfg.n)
@@ -356,7 +346,7 @@ def gap_fast(cfg: BMConfig, m: int) -> float:
       (P is centrosymmetric); see ``_trace_abab``;
     * variance: sum(R^n) = m r_0^n + 2 sum_{d=1}^{m-1} (m-d) r_d^n.
     """
-    _require_sample_size(m)
+    _require_int("m", m, 1)
     n = cfg.n
     r = _rho_at(cfg.H, np.arange(m, dtype=np.float64))
     if cfg.normalization == "exact_variance":
@@ -378,8 +368,7 @@ def alpha(n: int, H: float) -> float:
     Defined for n >= 2 (for n = 1 the case boundaries collapse and no
     single exponent is prescribed).
     """
-    if n < 2:
-        raise ValueError("alpha is defined for n >= 2")
+    _require_int("n", n, 2)
     _require_summable(n, H)
     if H <= 0.5:
         return -0.5

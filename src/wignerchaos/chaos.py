@@ -21,6 +21,7 @@ from .grid_kernel import (
     _add_into,
     _element_record,
     _read_element_record,
+    _require_int,
     adjoint as kernel_adjoint,
     constant_kernel,
     contract,
@@ -135,6 +136,7 @@ def _sum_by_order(grid: GridSpec, kernels) -> ChaosElement:
 
 def from_kernel(n: int, f: Kernel) -> ChaosElement:
     """The single integral I_n(f)."""
+    _require_int("n", n, 0)
     if f.order != n:
         raise ValueError(f"kernel order {f.order} != {n}")
     return ChaosElement(f.grid, {n: f})
@@ -190,8 +192,7 @@ def trace_of_product(X: ChaosElement, Y: ChaosElement) -> complex:
 
 def moment(X: ChaosElement, k: int) -> complex:
     """phi(X^k) by left-fold iterated products."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _require_int("k", k, 0)
     if k == 0:
         return 1.0 + 0.0j
     acc = X
@@ -316,12 +317,16 @@ def spectral_moments(g: Kernel, k_max: int) -> list[complex]:
     semicirculars with weights lambda_i, each a free compound Poisson.
     Moments follow from the moment-cumulant recursion
 
-        m_k = sum_{s=1}^{k} kappa_s * sum_{i_1+...+i_s=k-s} m_{i_1}...m_{i_s}.
+        m_k = sum_{s=1}^{k} kappa_s * sum_{i_1+...+i_s=k-s} m_{i_1}...m_{i_s},
+
+    whose inner sum is the coefficient of x^(k-s) in the s-th power of the
+    known prefix m_0 + m_1 x + ... + m_{k-1} x^(k-1).
 
     Cost is a few m x m matrix products, so this path reaches grid sizes
     where dense product-formula kernels are far beyond the memory cap; the
     two paths are compared on small grids in the tests.
     """
+    _require_int("k_max", k_max, 0)
     if g.order != 2:
         raise ValueError("spectral_moments needs an order-2 kernel")
     M = g.data * g.grid.cell_width
@@ -333,19 +338,12 @@ def spectral_moments(g: Kernel, k_max: int) -> list[complex]:
             kappa[j] = complex(np.trace(P))
     m = [1.0 + 0.0j]
     for k in range(1, k_max + 1):
+        prefix = np.array(m)
+        power = prefix
         tot = 0.0 + 0.0j
         for s in range(2, k + 1):
-            rem = k - s
-            # conv[j] = sum over compositions i_1+...+i_s = j of m_{i_1}...m_{i_s}
-            conv = np.zeros(rem + 1, dtype=np.complex128)
-            conv[0] = 1.0
-            for _ in range(s):
-                nxt = np.zeros(rem + 1, dtype=np.complex128)
-                for j in range(rem + 1):
-                    if conv[j] != 0:
-                        nxt[j : rem + 1] += conv[j] * np.array(m[: rem + 1 - j])
-                conv = nxt
-            tot += kappa.get(s, 0.0) * conv[rem]
+            power = np.convolve(power, prefix)[:k]
+            tot += kappa[s] * power[k - s]
         m.append(tot)
     return m
 

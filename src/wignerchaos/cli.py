@@ -294,8 +294,9 @@ def _checked(parse, valid=None, need: str = ""):
 
 _NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
-# Only what nothing downstream checks is checked here; BMConfig, GridSpec
-# and counterexample_kernel own the ranges of the other keys.
+# Only what the library may never see is checked here (a --seed with
+# --trials 0 reaches no kernel); the library's integer check owns the
+# ranges of the other keys.
 _CONVERTERS = {
     "format": _checked(str, ("csv", "json").__contains__, "csv or json"),
     "out": str,

@@ -47,6 +47,7 @@ from .grid_kernel import (
     SplitKernel,
     _bicontract_array,
     _require_capacity,
+    _require_int,
     adjoint_split,
     inner,
     is_symmetric,
@@ -73,7 +74,8 @@ def gradient(n: int, f: Kernel, s: int) -> BiChaosElement:
     cell sum of Q into one more contracted pair instead; the tests build Q
     from this function as its oracle, and the benchmark's tracer wraps it.
     """
-    if n < 1 or f.order != n:
+    _require_int("n", n, 1)
+    if f.order != n:
         raise ValueError("gradient needs f of order n >= 1")
     return _sum_by_split(f.grid, (slice_kernel(f, k, s) for k in range(1, n + 1)))
 
@@ -105,7 +107,8 @@ def _quadratic_form_slots(n: int, f: Kernel):
     sum, when it is wrapped: a non-finite term leaves the sum non-finite,
     since inf and nan are absorbing under addition.
     """
-    if n < 1 or f.order != n:
+    _require_int("n", n, 1)
+    if f.order != n:
         raise ValueError("gradient_quadratic_form needs f of order n >= 1")
     grid = f.grid
     _require_capacity(grid.cells, 2 * (n - 1))
@@ -192,10 +195,9 @@ def coefficient_c(u: int, v: int, n: int) -> int:
     0 <= k, q <= n - 1 - p - r; closed form u(v+1) for v <= n-u and
     u(2(n-u)-v+1) above, symmetric under v -> 2(n-u) - v.
     """
-    if not 1 <= u <= n - 1:
-        raise ValueError(f"u={u} out of range [1, {n - 1}]")
-    if not 0 <= v <= 2 * (n - u):
-        raise ValueError(f"v={v} out of range [0, {2 * (n - u)}]")
+    _require_int("n", n, 2)
+    _require_int("u", u, 1, n - 1)
+    _require_int("v", v, 0, 2 * (n - u))
     if v <= n - u:
         return u * (v + 1)
     return u * (2 * (n - u) - v + 1)
@@ -212,6 +214,7 @@ def closed_form_lhs(n: int, f: Kernel, tol: float = 1e-9) -> float:
     matrices equals its transpose) and the bound is an equality; for
     n >= 3 the arrangements differ and it is strict on generic input.
     """
+    _require_int("n", n, 1)
     if f.order != n:
         raise ValueError("closed_form_lhs needs f of order n")
     if not is_symmetric(f, tol):
@@ -248,6 +251,7 @@ def bound_report(n: int, f: Kernel, tol: float = 1e-9) -> BoundReport:
     bound_satisfied records lhs <= c_n * gap + 1e-9 (which is a theorem
     for fully symmetric f and can legitimately fail otherwise).
     """
+    _require_int("n", n, 2)  # before any contraction; C_n needs n >= 2
     _require_gap_input(f, tol)
     norms2 = _contraction_norms2(f)
     gap = sum(norms2)

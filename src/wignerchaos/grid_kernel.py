@@ -106,12 +106,31 @@ def _require_capacity(cells: int, order: int) -> None:
         )
 
 
-def _require_int(name: str, value) -> None:
-    # decoded records can carry floats, bools or strings where ints belong
+def _require_int(name: str, value, low, high=None) -> None:
+    """Raise ValueError unless value is an integer in [low, high].
+
+    The one check of every integer argument at the package's boundary:
+    orders, cell indices, contraction sizes, moments and sample sizes.
+    Python and numpy integers pass; bool, float and str are refused, since
+    decoded records and callers can carry them where ints belong.  high=None
+    leaves the range open above; low=-math.inf leaves it open below.  The
+    type is checked first, so the comparisons never meet a non-integer.
+    """
     if type(value) is not int and (
         isinstance(value, bool) or not isinstance(value, np.integer)
     ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is None:
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    elif not low <= value <= high:
+        raise ValueError(f"{name}={value} out of range [{low}, {high}]")
+
+
+def _require_tolerance(name: str, value) -> None:
+    # nan would make every comparison with it False, and so every test pass
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _require_finite(arr: np.ndarray) -> None:
@@ -129,9 +148,7 @@ class GridSpec:
     cells: int
 
     def __post_init__(self):
-        _require_int("cells", self.cells)
-        if self.cells < 1:
-            raise ValueError("cells must be >= 1")
+        _require_int("cells", self.cells, 1)
         if not (
             isinstance(self.total_length, numbers.Real)
             and not isinstance(self.total_length, bool)
@@ -185,9 +202,7 @@ class Kernel:
         return self
 
     def __init__(self, grid: GridSpec, order: int, data):
-        _require_int("order", order)
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        _require_int("order", order, 0)
         _require_capacity(grid.cells, order)
         arr = np.asarray(data)
         dtype = np.float64 if arr.dtype.kind in "biuf" else np.complex128
@@ -261,15 +276,13 @@ class SplitKernel:
 
     def __post_init__(self):
         a, b = self.split
-        if a < 0 or b < 0 or a + b != self.kernel.order:
+        order = self.kernel.order
+        _require_int("split[0]", a, 0, order)
+        _require_int("split[1]", b, 0, order)
+        if a + b != order:
             raise ValueError(
-                f"split {self.split} inconsistent with kernel order "
-                f"{self.kernel.order}"
+                f"split {self.split} inconsistent with kernel order {order}"
             )
-
-    @property
-    def order(self) -> int:
-        return self.kernel.order
 
 
 def _add_into(acc: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -300,6 +313,7 @@ def _check_same_space(f: Kernel, g: Kernel) -> None:
 # ---------------------------------------------------------------------------
 
 def zero_kernel(grid: GridSpec, order: int) -> Kernel:
+    _require_int("order", order, 0)
     _require_capacity(grid.cells, order)
     return Kernel(grid, order, np.zeros((grid.cells,) * order))
 
@@ -309,10 +323,8 @@ def constant_kernel(grid: GridSpec, value: complex) -> Kernel:
 
 def cell_indicator(grid: GridSpec, cell: int, normalized: bool = False) -> Kernel:
     """Order-1 indicator of one grid cell; normalized=True rescales to norm 1."""
+    _require_int("cell", cell, 0, grid.cells - 1)
     _require_capacity(grid.cells, 1)
-    _require_int("cell", cell)
-    if not 0 <= cell < grid.cells:
-        raise ValueError(f"cell {cell} out of range [0, {grid.cells})")
     data = np.zeros(grid.cells)
     data[cell] = 1.0 / math.sqrt(grid.cell_width) if normalized else 1.0
     return Kernel(grid, 1, data)
@@ -354,6 +366,8 @@ def kernels_close(f: Kernel, g: Kernel, rtol: float = RTOL, atol: float = ATOL) 
     not depend on their common scale (a unit kernel on a grid of length T
     has entries of size about T^(-n/2)).
     """
+    _require_tolerance("rtol", rtol)
+    _require_tolerance("atol", atol)
     _check_same_space(f, g)
     scale = max(float(np.max(np.abs(f.data))), float(np.max(np.abs(g.data))))
     return bool(np.allclose(f.data, g.data, rtol=rtol, atol=atol * scale))
@@ -366,8 +380,7 @@ def is_mirror_symmetric(f: Kernel, tol: float = 1e-9) -> bool:
     overall scale of f (a unit kernel on a grid of length T has entries of
     size about T^(-n/2)).
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    _require_tolerance("tol", tol)
     return max_abs_diff(f, adjoint(f)) <= tol * float(np.max(np.abs(f.data)))
 
 
@@ -382,11 +395,8 @@ def is_symmetric(f: Kernel, tol: float = 1e-9) -> bool:
     permutation moves f by at most n(n-1)/2 * tol * max|f| when this
     returns True.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    _require_tolerance("tol", tol)
     bound = tol * float(np.max(np.abs(f.data)))
-    if f.order == 0:
-        return abs(complex(f.data).imag) <= bound
     if float(np.max(np.abs(f.data.imag))) > bound:
         return False
     for i in range(f.order - 1):
@@ -459,8 +469,7 @@ def contract(f: Kernel, g: Kernel, p: int) -> Kernel:
     """
     _check_same_grid(f, g)
     n, m = f.order, g.order
-    if not 0 <= p <= min(n, m):
-        raise ValueError(f"p={p} out of range for orders ({n}, {m})")
+    _require_int("p", p, 0, min(n, m))
     _require_capacity(f.grid.cells, n + m - 2 * p)
     out = _bicontract_array(f, (n, 0), g, (m, 0), p, 0)
     return Kernel._wrap(f.grid, n + m - 2 * p, out)
@@ -498,10 +507,8 @@ def bicontract(f: SplitKernel, g: SplitKernel, p: int, r: int) -> SplitKernel:
     _check_same_grid(f.kernel, g.kernel)
     n1, m1 = f.split
     n2, m2 = g.split
-    if not 0 <= p <= min(n1, n2):
-        raise ValueError(f"p={p} out of range for first legs ({n1}, {n2})")
-    if not 0 <= r <= min(m1, m2):
-        raise ValueError(f"r={r} out of range for second legs ({m1}, {m2})")
+    _require_int("p", p, 0, min(n1, n2))
+    _require_int("r", r, 0, min(m1, m2))
     out_split = (n1 + n2 - 2 * p, m1 + m2 - 2 * r)
     _require_capacity(f.kernel.grid.cells, sum(out_split))
     out = _bicontract_array(f.kernel, f.split, g.kernel, g.split, p, r)
@@ -543,12 +550,8 @@ def _bicontract_array(f: Kernel, f_split, g: Kernel, g_split, p: int, r: int, ou
 
 def slice_kernel(f: Kernel, k: int, s: int) -> SplitKernel:
     """Fix the k-th argument (1-based) of f at cell s: split (k-1, n-k)."""
-    _require_int("k", k)
-    _require_int("s", s)
-    if not 1 <= k <= f.order:
-        raise ValueError(f"k={k} out of range [1, {f.order}]")
-    if not 0 <= s < f.grid.cells:
-        raise ValueError(f"cell {s} out of range [0, {f.grid.cells})")
+    _require_int("k", k, 1, f.order)
+    _require_int("s", s, 0, f.grid.cells - 1)
     data = np.take(f.data, s, axis=k - 1)
     return SplitKernel(Kernel._wrap(f.grid, f.order - 1, data), (k - 1, f.order - k))
 

@@ -11,7 +11,14 @@ import math
 
 import numpy as np
 
-from .grid_kernel import GridSpec, Kernel, _require_capacity, norm, symmetrize
+from .grid_kernel import (
+    GridSpec,
+    Kernel,
+    _require_capacity,
+    _require_int,
+    norm,
+    symmetrize,
+)
 
 __all__ = ["counterexample_kernel", "random_symmetric_unit_kernel"]
 
@@ -27,6 +34,9 @@ def random_symmetric_unit_kernel(
     rejected; the entries do not depend on the grid length, so neither
     does the decision.
     """
+    _require_int("order", order, 0)
+    _require_int("seed", seed, 0)
+    _require_int("index", index, 0)
     _require_capacity(grid.cells, order)  # before the draw, not after it
     rng = np.random.Generator(np.random.Philox(key=[seed, index]))
     while True:
@@ -41,9 +51,8 @@ def counterexample_kernel(N: int) -> Kernel:
 
     Not fully symmetric for N >= 2; its fourth-moment gap is 2/N.
     """
+    _require_int("N", N, 1)
     _require_capacity(N, 3)  # before the N^3 array, not after it
-    if N < 1:
-        raise ValueError("N must be >= 1")
     grid = GridSpec(1.0, N)
     data = np.zeros((N, N, N))
     for a in range(N):

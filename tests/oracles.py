@@ -4,7 +4,13 @@
 (k, j, p, r) form, one bicontraction per term, so it shares no term
 bookkeeping with ``gradient._quadratic_form_slots`` or the CLI's
 ``counterexample`` summand.
+
+``moments_from_cumulants`` is the free moment-cumulant recursion summed
+composition by composition, the loop ``chaos.spectral_moments`` used
+before it took powers of the moment prefix with ``np.convolve``.
 """
+
+import numpy as np
 
 from wignerchaos.bichaos import BiChaosElement, _sum_by_split
 from wignerchaos.grid_kernel import Kernel, SplitKernel, adjoint_split, bicontract
@@ -26,3 +32,27 @@ def slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
         for r in range(min(n - k, n - j) + 1)
     )
     return _sum_by_split(f.grid, terms)
+
+
+def moments_from_cumulants(kappa, k_max: int) -> list[complex]:
+    """m_0..m_{k_max} from free cumulants kappa[s], s >= 2 (kappa_1 = 0).
+
+    m_k = sum_{s=2}^{k} kappa_s * sum_{i_1+...+i_s=k-s} m_{i_1}...m_{i_s}.
+    """
+    m = [1.0 + 0.0j]
+    for k in range(1, k_max + 1):
+        tot = 0.0 + 0.0j
+        for s in range(2, k + 1):
+            rem = k - s
+            # conv[j] = sum over compositions i_1+...+i_s = j of m_{i_1}...m_{i_s}
+            conv = np.zeros(rem + 1, dtype=np.complex128)
+            conv[0] = 1.0
+            for _ in range(s):
+                nxt = np.zeros(rem + 1, dtype=np.complex128)
+                for j in range(rem + 1):
+                    if conv[j] != 0:
+                        nxt[j : rem + 1] += conv[j] * np.array(m[: rem + 1 - j])
+                conv = nxt
+            tot += kappa[s] * conv[rem]
+        m.append(tot)
+    return m

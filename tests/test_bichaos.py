@@ -184,3 +184,20 @@ def test_construction_prunes_only_exact_zeros():
     X = BiChaosElement(GRID, {(1, 1): zero, (2, 0): tiny})
     assert X.splits == ((2, 0),)
     assert (X - X).splits == ()
+
+
+def test_element_keys_must_be_the_kernel_splits():
+    w = SplitKernel(rand_kernel(3, 7), (2, 1))
+    with pytest.raises(ValueError):
+        BiChaosElement(GRID, {(1, 2): w})
+    assert BiChaosElement(GRID, {(2, 1): w}).splits == ((2, 1),)
+
+
+def test_element_is_immutable():
+    X = rand_bichaos(8)
+    for name, value in (("coeffs", {}), ("grid", GridSpec(2.0, 3))):
+        with pytest.raises(AttributeError):
+            setattr(X, name, value)
+    with pytest.raises(AttributeError):
+        X.extra = 1
+    assert X.splits == ((0, 0), (1, 1), (1, 2), (2, 1))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,12 @@ def test_P_small_values():
     assert P(4, 2) == 76
     # sum of squares of (1,2,3,4,3,2,1)
     assert P(4, 1) == 44
+    # at integer u, the correctly rounded value of the exact rational
+    for n in range(2, 300):
+        for u in range(1, n):
+            w = n - u
+            want = Fraction(u * u * (w + 1) * (2 * w * w + 4 * w + 3), 3)
+            assert P(n, u) == float(want), (n, u)
 
 
 def test_P_definition():

@@ -339,6 +339,21 @@ def test_sigma2_tail_bound_checks_like_sigma2():
             sigma2_tail_bound(*args)
 
 
+@pytest.mark.parametrize("H", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_hurst_index_is_checked_before_the_covariance(H):
+    # increment_kernels factored the 1e-12 jitter at H = 0 and ended in
+    # LinAlgError at H = 1.5, after a divide-by-zero warning at H = -0.2
+    calls = (
+        lambda: increment_kernels(H, 4),
+        lambda: rho(H, 1),
+        lambda: sigma2(2, H, 10),
+        lambda: alpha(2, H),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^H must lie in \(0, 1\)$"):
+            call()
+
+
 def test_increment_kernels_refuse_over_cap_before_allocating(monkeypatch):
     # the 512 x 512 covariance and factor exceed a cap of 2**10 entries;
     # they used to be built, 2 MiB each, and 512 kernels came back

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import moments_from_cumulants
 
 from wignerchaos.bounds import semicircle_moment
 from wignerchaos.chaos import (
@@ -257,6 +258,49 @@ def test_spectral_moments_of_real_kernel_match_complex_embedding():
     fc = Kernel(f.grid, 2, f.data.astype(np.complex128))
     for got, want in zip(spectral_moments(f, 8), spectral_moments(fc, 8)):
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_spectral_moments_match_composition_oracle():
+    rng = np.random.default_rng(97)
+    for i in range(50):
+        cells = int(rng.integers(1, 7))
+        data = rng.standard_normal((cells, cells))
+        if i % 2:
+            data = data + 1j * rng.standard_normal((cells, cells))
+        f = Kernel(GridSpec(1.0 + i, cells), 2, data)
+        M = f.data * f.grid.cell_width
+        powers = [np.linalg.matrix_power(M, s) for s in range(2, 11)]
+        kappa = [0.0, 0.0] + [np.trace(P) for P in powers]
+        want = moments_from_cumulants(kappa, 10)
+        got = spectral_moments(f, 10)
+        # |m_k| <= (2 ||M||)^k, so the rounding error of either route is
+        # a few ulps of that
+        scale = max(1.0, 2.0 * float(np.linalg.norm(M)))
+        for k in range(11):
+            assert abs(got[k] - want[k]) <= 1e-13 * scale**k, (i, k)
+    assert spectral_moments(f, 0) == [1.0]
+    with pytest.raises(ValueError, match=r"^k_max must be >= 0, got -1$"):
+        spectral_moments(f, -1)  # returned [1]
+
+
+def test_element_keys_must_be_the_kernel_orders():
+    f = rand_kernel(2, 98)
+    with pytest.raises(ValueError):
+        ChaosElement(GRID, {1: f})
+    with pytest.raises(ValueError):
+        from_kernel(1, f)
+    with pytest.raises(ValueError):
+        from_kernel(True, rand_kernel(1, 99))  # built an element keyed by True
+
+
+def test_element_is_immutable():
+    X = rand_element(100)
+    for name, value in (("coeffs", {}), ("grid", GridSpec(2.0, 3))):
+        with pytest.raises(AttributeError):
+            setattr(X, name, value)
+    with pytest.raises(AttributeError):
+        X.extra = 1
+    assert X.orders == (0, 1, 2)
 
 
 def test_json_roundtrip():

@@ -411,6 +411,20 @@ def test_bound_report_fields():
     assert rep2.lhs_closed_form is None
 
 
+def test_bound_report_checks_n_before_any_contraction(monkeypatch):
+    f = random_symmetric_unit_kernel(GridSpec(1.0, 3), 2, seed=31, index=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("contracted before n was checked")
+
+    monkeypatch.setattr(import_module("wignerchaos.chaos"), "contract", refuse)
+    monkeypatch.setattr(import_module("wignerchaos.gradient"), "_bicontract_array", refuse)
+    # n = 1 used to run every contraction, then fail in C(1)
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
+            bound_report(n, f)
+
+
 @pytest.mark.parametrize("T", [1e-8, 1e-4, 1.0, 1e4, 1e8])
 def test_symmetry_decisions_and_bound_report_are_scale_invariant(T):
     # the same unit kernels on [0, T]: entries scale like T^(-n/2)

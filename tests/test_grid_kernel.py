@@ -86,6 +86,11 @@ def test_order_zero_kernel_is_scalar():
     assert c.order == 0
     assert complex(c.data) == 2.5 + 1j
     assert inner(c, c) == pytest.approx(abs(2.5 + 1j) ** 2)
+    # a scalar is symmetric iff its imaginary part is within tol * |c|
+    assert not is_symmetric(c)
+    assert is_symmetric(c, tol=0.5)
+    assert is_symmetric(constant_kernel(GRID, -2.5))
+    assert is_symmetric(constant_kernel(GRID, 0.0))
 
 
 def test_arithmetic():
@@ -275,6 +280,57 @@ def test_contract_validation():
         contract(f, g, 3)
     with pytest.raises(ValueError):
         contract(f, g, -1)
+
+
+def test_bicontract_validation():
+    f = SplitKernel(rand(3, seed=18), (2, 1))
+    g = SplitKernel(rand(3, seed=19), (1, 2))
+    assert bicontract(f, g, 1, 1).split == (1, 1)
+    for p, r, message in (
+        (2, 0, r"^p=2 out of range \[0, 1\]$"),
+        (-1, 0, r"^p=-1 out of range \[0, 1\]$"),
+        (0, 2, r"^r=2 out of range \[0, 1\]$"),
+        (0, -1, r"^r=-1 out of range \[0, 1\]$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bicontract(f, g, p, r)
+
+
+def test_split_must_match_kernel_order():
+    f = rand(3, seed=20)
+    assert SplitKernel(f, (1, 2)).split == (1, 2)
+    for split in ((1, 1), (2, 2), (-1, 4), (4, -1), (1.5, 1.5), (True, 2)):
+        with pytest.raises(ValueError):
+            SplitKernel(f, split)
+
+
+def test_require_int_messages():
+    require_int = grid_kernel_module._require_int
+    for bad in (2.5, True, np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            require_int("n", bad, 0)
+    with pytest.raises(ValueError, match=r"^n must be >= 2, got 1$"):
+        require_int("n", 1, 2)
+    with pytest.raises(ValueError, match=r"^p=3 out of range \[0, 2\]$"):
+        require_int("p", 3, 0, 2)
+    require_int("n", np.int64(3), 0, 3)
+    require_int("k", -(10**30), -math.inf)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_tolerances_must_be_finite_and_nonnegative(tol):
+    # a nan bound made every comparison False, so is_symmetric passed this
+    # kernel, which is not symmetric
+    f = Kernel(GridSpec(1.0, 3), 2, np.arange(9.0))
+    message = "must be a finite number >= 0"
+    with pytest.raises(ValueError, match="^tol " + message):
+        is_symmetric(f, tol)
+    with pytest.raises(ValueError, match="^tol " + message):
+        is_mirror_symmetric(f, tol)
+    with pytest.raises(ValueError, match="^rtol " + message):
+        kernels_close(f, f, rtol=tol)
+    with pytest.raises(ValueError, match="^atol " + message):
+        kernels_close(f, f, atol=tol)
 
 
 def test_bicontract_separable_factorization():

@@ -49,6 +49,14 @@ def test_random_symmetric_unit_kernel_terminates_on_every_scale():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_random_symmetric_unit_kernel_rejects_negative_arguments():
+    # Philox took a negative seed or index; a negative order failed late
+    grid = GridSpec(1.0, 3)
+    for order, seed, index in ((2, -1, 0), (2, 0, -1), (-1, 0, 0)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            random_symmetric_unit_kernel(grid, order, seed, index)
+
+
 def test_random_symmetric_unit_kernel_refuses_over_cap_before_drawing(monkeypatch):
     # 64**3 entries exceed a cap of 2**16: refused before the 2 MiB draw
     monkeypatch.setattr(grid_kernel, "MAX_ENTRIES", 2**16)
