@@ -16,6 +16,7 @@ formula at n = 3 (8/3 by the formula, 2 in print), and we ship the formula.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .grid_kernel import _require_int
@@ -38,9 +39,13 @@ def P(n: int, u) -> float:
 
     One expression serves the integer maximization and the stationarity
     checks at real u0.  At integer u the product is an exact Python
-    integer and the one division by 3 rounds it correctly.
+    integer and the one division by 3 rounds it correctly; numpy integers
+    are converted first, since int64 products overflow near n = 20000.
     """
     _require_int("n", n, 2)
+    n = int(n)
+    if isinstance(u, numbers.Integral):
+        u = int(u)
     w = n - u
     return u * u * (w + 1) * (2 * w * w + 4 * w + 3) / 3
 
@@ -82,6 +87,7 @@ def C(n: int) -> ConstantsRow:
     [1, n-1]) and reported in ``floor_ceil_c_n`` for comparison.
     """
     _require_int("n", n, 2)
+    n = int(n)
     values = {u: P(n, u) for u in range(1, n)}
     argmax_u = max(values, key=lambda u: (values[u], -u))
     p_max = values[argmax_u]

@@ -393,8 +393,7 @@ def rate_fit(cfg: BMConfig) -> BMResult:
     for i in range(2, len(gaps) + 1):
         running.append(float(np.polyfit(logm[:i], logg[:i], 1)[0]))
     a = alpha(cfg.n, cfg.H)
-    c_n = bounds.C(cfg.n).c_n
-    dc2 = tuple(0.5 * math.sqrt(c_n) * math.sqrt(g) for g in gaps)
+    dc2 = tuple(bounds.dc2_bound_from_gap(cfg.n, g) for g in gaps)
     return BMResult(
         config=cfg,
         gaps=tuple(gaps),

@@ -5,10 +5,14 @@ stored as a map order -> Kernel.  Multiplication is the product formula
 
     I_n(f) I_m(g) = sum_{p=0}^{min(n,m)} I_{n+m-2p}(f contract_p g),
 
-extended bilinearly; the state phi reads off the order-0 coefficient.  The
-module also provides two independent moment paths used to cross-check the
-product formula: a combinatorial oracle summing over non-crossing pair
-partitions, and an exact free-cumulant path for elements of the form I_2(g).
+extended bilinearly; the state phi reads off the order-0 coefficient.
+``_Expansion`` holds the canonical form that ``bichaos.BiChaosElement``
+shares: construction checks, the same-key sum of both product formulas,
+linear structure, kernel-wise maps, the scalar coefficient and one JSON
+record (older records without the grid are still read).  The module also
+provides two independent moment paths used to cross-check the product
+formula: a combinatorial oracle summing over non-crossing pair partitions,
+and an exact free-cumulant path for elements of the form I_2(g).
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from .grid_kernel import (
     GridSpec,
     Kernel,
     _add_into,
-    _element_record,
-    _read_element_record,
     _require_int,
     adjoint as kernel_adjoint,
     constant_kernel,
@@ -52,86 +54,164 @@ __all__ = [
 ORACLE_MAX_ORDER = 10
 
 
-class ChaosElement:
+class _Expansion:
+    """Finite sum of terms on one grid, one nonzero term per key, keys sorted.
+
+    A subclass states a term's key (``_key``), the term's kernel
+    (``_kernel``) and the term of a kernel at a key (``_term``), and names
+    its keys for ``repr`` (``_KEYS``).  Its ``__init__`` checks the key type
+    and then runs this one: exactly zero kernels are pruned, so the support
+    does not depend on the scale.
+    """
+
+    __slots__ = ("grid", "coeffs")
+
+    def __init__(self, grid: GridSpec, coeffs: dict):
+        pruned = {}
+        for key, term in sorted(coeffs.items()):
+            f = self._kernel(term)
+            if self._key(term) != key:
+                raise ValueError(f"kernel keyed {self._key(term)} stored at {key}")
+            if f.grid != grid:
+                raise ValueError("all kernels must share the element's grid")
+            if f.data.any():
+                pruned[key] = term
+        self.grid = grid
+        self.coeffs = pruned
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "coeffs"):
+            raise AttributeError(f"{type(self).__name__} is immutable")
+        object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._KEYS}={list(self.coeffs)})"
+
+    @classmethod
+    def _sum_by_key(cls, grid: GridSpec, terms):
+        """The element of terms on grid, those of equal key summed left to right.
+
+        A key reached once keeps its term object; a repeated key is summed
+        into one array owned here and wrapped in a Kernel, without a copy,
+        once at the end.
+        """
+        coeffs = {}
+        sums = {}  # key -> summed array
+        for term in terms:
+            key = cls._key(term)
+            if key in sums:
+                sums[key] = _add_into(sums[key], cls._kernel(term).data)
+            elif key in coeffs:
+                sums[key] = cls._kernel(coeffs[key]).data + cls._kernel(term).data
+            else:
+                coeffs[key] = term
+        for key, data in sums.items():
+            order = cls._kernel(coeffs[key]).order
+            coeffs[key] = cls._term(Kernel._wrap(grid, order, data), key)
+        return cls(grid, coeffs)
+
+    def _map(self, fn):
+        """The element with fn(term) in place of each term."""
+        return type(self)(self.grid, {key: fn(t) for key, t in self.coeffs.items()})
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if other.grid != self.grid:
+            raise ValueError("grid mismatch")
+        terms = [*self.coeffs.values(), *other.coeffs.values()]
+        return self._sum_by_key(self.grid, terms)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, _Expansion):
+            return NotImplemented
+        return self._map(lambda t: self._term(self._kernel(t) * scalar, self._key(t)))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return (-1.0) * self
+
+    def _scalar(self) -> complex:
+        """The coefficient at the one key of order 0, 0 or (0, 0), which sorts first."""
+        first = next(iter(self.coeffs.values()), None)
+        if first is None or self._kernel(first).order != 0:
+            return 0.0 + 0.0j
+        return complex(self._kernel(first).data)
+
+    def _to_json(self) -> dict:
+        """JSON record: the grid, and kernel records under "kernels".
+
+        The grid sits at the top so that the zero element, which has no
+        kernels, still names its grid.  An order is keyed "n", a split "a,b".
+        """
+        grid, kernels = self.grid, {}
+        for key, t in self.coeffs.items():
+            text = ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+            kernels[text] = kernel_to_json(self._kernel(t))
+        return {"total_length": grid.total_length, "cells": grid.cells, "kernels": kernels}
+
+    @classmethod
+    def _from_json(cls, obj):
+        """Inverse of _to_json; any malformed record raises ValueError.
+
+        Also reads the older record, which is the kernel records alone; its
+        grid is that of its first kernel record, so an empty one has none.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError(f"element record must be an object, not {type(obj).__name__}")
+        if "kernels" in obj:
+            head, kernels = obj, obj["kernels"]
+        elif obj:
+            head, kernels = next(iter(obj.values())), obj
+        else:
+            raise ValueError("empty element record has no grid")
+        try:
+            grid = GridSpec(head["total_length"], head["cells"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed element record: {exc!r}") from None
+        if not isinstance(kernels, dict):
+            raise ValueError(f"kernels must be an object, not {type(kernels).__name__}")
+        coeffs = {}
+        for text, record in kernels.items():
+            key = tuple(int(part) for part in str(text).split(","))
+            key = key if len(key) > 1 else key[0]
+            try:
+                coeffs[key] = cls._term(kernel_from_json(record), key)
+            except TypeError as exc:  # a split key that is not a pair
+                raise ValueError(f"malformed element key {text!r}: {exc}") from None
+        return cls(grid, coeffs)
+
+
+class ChaosElement(_Expansion):
     """Finite sum of Wigner integrals, one kernel per chaos order.
 
     coeffs maps order n >= 0 to an order-n Kernel; exactly zero kernels are
     pruned on construction, so the support does not depend on the scale.
     """
 
-    __slots__ = ("grid", "coeffs")
+    __slots__ = ()
+    _KEYS = "orders"
 
     def __init__(self, grid: GridSpec, coeffs: dict[int, Kernel]):
-        pruned = {}
-        for n, f in sorted(coeffs.items()):
-            if f.order != n:
-                raise ValueError(f"kernel of order {f.order} stored at order {n}")
-            if f.grid != grid:
-                raise ValueError("all kernels must share the element's grid")
-            if f.data.any():
-                pruned[n] = f
-        self.grid = grid
-        self.coeffs = pruned
+        for n in coeffs:
+            _require_int("order", n, 0)
+        super().__init__(grid, coeffs)
 
-    def __setattr__(self, name, value):
-        if hasattr(self, "coeffs"):
-            raise AttributeError("ChaosElement is immutable")
-        object.__setattr__(self, name, value)
-
-    def __repr__(self):
-        return f"ChaosElement(orders={sorted(self.coeffs)})"
-
-    @property
-    def orders(self):
-        return tuple(sorted(self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, ChaosElement):
-            return NotImplemented
-        if other.grid != self.grid:
-            raise ValueError("grid mismatch")
-        terms = [*self.coeffs.values(), *other.coeffs.values()]
-        return _sum_by_order(self.grid, terms)
-
-    def __sub__(self, other):
-        if not isinstance(other, ChaosElement):
-            return NotImplemented
-        return self + (-1.0) * other
+    _key = staticmethod(lambda f: f.order)
+    _kernel = staticmethod(lambda f: f)
+    _term = staticmethod(lambda f, n: f)
+    orders = property(lambda self: tuple(self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, ChaosElement):
             return multiply(self, other)
-        return ChaosElement(
-            self.grid, {n: f * other for n, f in self.coeffs.items()}
-        )
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
-    def __neg__(self):
-        return (-1.0) * self
-
-
-def _sum_by_order(grid: GridSpec, kernels) -> ChaosElement:
-    """The element of kernels on grid, those of equal order summed left to right.
-
-    An order reached once keeps its Kernel object; a repeated order is summed
-    into one array owned here and wrapped in a Kernel, without a copy, once
-    at the end.
-    """
-    coeffs: dict[int, Kernel] = {}
-    sums = {}  # order -> summed array
-    for f in kernels:
-        n = f.order
-        if n in sums:
-            sums[n] = _add_into(sums[n], f.data)
-        elif n in coeffs:
-            sums[n] = coeffs[n].data + f.data
-        else:
-            coeffs[n] = f
-    for n, data in sums.items():
-        coeffs[n] = Kernel._wrap(grid, n, data)
-    return ChaosElement(grid, coeffs)
+        return super().__mul__(other)
 
 
 def from_kernel(n: int, f: Kernel) -> ChaosElement:
@@ -157,20 +237,17 @@ def multiply(X: ChaosElement, Y: ChaosElement) -> ChaosElement:
         for m, g in Y.coeffs.items()
         for p in range(min(n, m) + 1)
     )
-    return _sum_by_order(X.grid, terms)
+    return ChaosElement._sum_by_key(X.grid, terms)
 
 
 def adjoint(X: ChaosElement) -> ChaosElement:
     """Kernel-wise adjoint; fixes X iff every kernel is mirror-symmetric."""
-    return ChaosElement(
-        X.grid, {n: kernel_adjoint(f) for n, f in X.coeffs.items()}
-    )
+    return X._map(kernel_adjoint)
 
 
 def trace(X: ChaosElement) -> complex:
     """phi(X): the order-0 coefficient (integrals of order >= 1 are centered)."""
-    f = X.coeffs.get(0)
-    return complex(f.data) if f is not None else 0.0 + 0.0j
+    return X._scalar()
 
 
 def trace_of_product(X: ChaosElement, Y: ChaosElement) -> complex:
@@ -353,12 +430,8 @@ def spectral_moments(g: Kernel, k_max: int) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 def chaos_to_json(X: ChaosElement) -> dict:
-    return _element_record(
-        X.grid, {str(n): kernel_to_json(f) for n, f in X.coeffs.items()}
-    )
+    return X._to_json()
 
 
 def chaos_from_json(obj: dict) -> ChaosElement:
-    grid, records = _read_element_record(obj)
-    coeffs = {int(n): kernel_from_json(rec) for n, rec in records.items()}
-    return ChaosElement(grid, coeffs)
+    return ChaosElement._from_json(obj)

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from .bichaos import BiChaosElement, _sum_by_split
+from .bichaos import BiChaosElement
 from .chaos import (
     ChaosElement,
     _contraction_norms2,
@@ -77,7 +77,8 @@ def gradient(n: int, f: Kernel, s: int) -> BiChaosElement:
     _require_int("n", n, 1)
     if f.order != n:
         raise ValueError("gradient needs f of order n >= 1")
-    return _sum_by_split(f.grid, (slice_kernel(f, k, s) for k in range(1, n + 1)))
+    slices = (slice_kernel(f, k, s) for k in range(1, n + 1))
+    return BiChaosElement._sum_by_key(f.grid, slices)
 
 
 def number_inverse(X: ChaosElement) -> ChaosElement:

@@ -633,35 +633,3 @@ def kernel_from_json(obj: dict) -> Kernel:
     data.imag = im  # re + 1j * im would warn on an infinite im
     return Kernel(grid, order, data)
 
-
-def _element_record(grid: GridSpec, kernels: dict) -> dict:
-    """JSON record of an expansion: its grid, and kernel records under "kernels".
-
-    The grid sits at the top so that the zero element, which has no
-    kernels, still names its grid.
-    """
-    return {"total_length": grid.total_length, "cells": grid.cells, "kernels": kernels}
-
-
-def _read_element_record(obj) -> tuple[GridSpec, dict]:
-    """The grid and the kernel records of an expansion's JSON record.
-
-    Also reads the older record, which is the kernel records alone, keyed
-    by order or split; its grid is that of its first kernel record, so an
-    empty one has none.  Any malformed record raises ValueError.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"element record must be an object, not {type(obj).__name__}")
-    if "kernels" in obj:
-        head, kernels = obj, obj["kernels"]
-    elif obj:
-        head, kernels = next(iter(obj.values())), obj
-    else:
-        raise ValueError("empty element record has no grid")
-    try:
-        grid = GridSpec(head["total_length"], head["cells"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed element record: {exc!r}") from None
-    if not isinstance(kernels, dict):
-        raise ValueError(f"kernels must be an object, not {type(kernels).__name__}")
-    return grid, kernels

@@ -12,7 +12,7 @@ before it took powers of the moment prefix with ``np.convolve``.
 
 import numpy as np
 
-from wignerchaos.bichaos import BiChaosElement, _sum_by_split
+from wignerchaos.bichaos import BiChaosElement
 from wignerchaos.grid_kernel import Kernel, SplitKernel, adjoint_split, bicontract
 
 
@@ -31,7 +31,7 @@ def slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
         for p in range(1, min(k, j) + 1)
         for r in range(min(n - k, n - j) + 1)
     )
-    return _sum_by_split(f.grid, terms)
+    return BiChaosElement._sum_by_key(f.grid, terms)
 
 
 def moments_from_cumulants(kappa, k_max: int) -> list[complex]:

@@ -3,7 +3,6 @@ import pytest
 
 from wignerchaos.bichaos import (
     BiChaosElement,
-    _sum_by_split,
     adjoint,
     bichaos_from_json,
     bichaos_to_json,
@@ -141,13 +140,39 @@ def test_split_sums_follow_numpy_promotion():
         (real[:1] + [cplx] + real[1:], np.complex128),
         ([cplx] + real, np.complex128),
     ):
-        got = _sum_by_split(GRID, terms).coeffs[(1, 1)].kernel.data
+        got = BiChaosElement._sum_by_key(GRID, terms).coeffs[(1, 1)].kernel.data
         assert got.dtype == dtype
         assert np.array_equal(got, sum(w.kernel.data for w in terms))  # same order
     X = from_split_kernel(real[0]) + from_split_kernel(
         SplitKernel(Kernel(GRID, 1, np.ones(3)), (0, 1))
     )
     assert all(w.kernel.data.dtype == np.float64 for w in sharp_multiply(X, X).coeffs.values())
+
+
+def test_element_operators():
+    X = rand_bichaos(14)
+    for bad in (1.0, "x", None):
+        with pytest.raises(TypeError):
+            X + bad
+        with pytest.raises(TypeError):
+            X - bad
+    assert repr(X) == "BiChaosElement(splits=[(0, 0), (1, 1), (1, 2), (2, 1)])"
+    assert repr(X - X) == "BiChaosElement(splits=[])"
+
+
+def test_elements_on_other_grids_are_refused():
+    X = rand_bichaos(15)
+    other_grid = GridSpec(2.0, 3)
+    f = Kernel(other_grid, 2, np.ones((3, 3)))
+    other = from_split_kernel(SplitKernel(f, (1, 1)))
+    for op in (lambda a, b: a + b, sharp_multiply):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            op(X, other)
+    A = from_kernel(1, rand_kernel(1, 16))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        tensor(A, from_kernel(2, f))
+    with pytest.raises(ValueError, match="share the element's grid"):
+        BiChaosElement(GRID, {(1, 1): SplitKernel(f, (1, 1))})
 
 
 def test_json_roundtrip():
@@ -176,6 +201,14 @@ def test_json_roundtrip_of_zero_element_and_older_records():
     assert Y.splits == X.splits
     with pytest.raises(ValueError):
         bichaos_from_json({})
+
+
+@pytest.mark.parametrize("key", ["3", "1,1,0", "x,2", "1.0,1"])
+def test_json_rejects_keys_that_are_not_integer_pairs(key):
+    record = bichaos_to_json(rand_bichaos(16, splits=((1, 1),)))
+    record["kernels"] = {key: record["kernels"]["1,1"]}
+    with pytest.raises(ValueError):
+        bichaos_from_json(record)
 
 
 def test_construction_prunes_only_exact_zeros():

@@ -87,6 +87,15 @@ def test_C_rejects_n_below_2():
         C(1)
 
 
+def test_numpy_integers_compute_in_python_integers():
+    # int64 products overflow near n = 20000
+    assert P(np.int64(20000), np.int64(10000)) == P(20000, 10000)
+    assert P(np.int64(20000), 10000) == P(20000, 10000)
+    assert C(np.int64(40)) == C(40)
+    assert type(C(np.int64(40)).c_n) is float
+    assert type(P(np.int64(5), 1.5)) is float
+
+
 def test_dc2_chain():
     # half sqrt(lhs) <= (sqrt(C_n)/2) sqrt(gap) whenever lhs <= C_n gap
     for n in (2, 3, 4):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wignerchaos import breuer_major, grid_kernel
+from wignerchaos.bounds import dc2_bound_from_gap
 from wignerchaos.breuer_major import (
     BMConfig,
     alpha,
@@ -387,6 +388,12 @@ def test_rate_fit_h_half_slope():
     assert res.slope_running[-1] == pytest.approx(res.slope)
     # dc2 chain values present and positive
     assert all(b > 0 for b in res.dc2_from_gap)
+
+
+def test_rate_fit_distance_bound_is_the_bounds_formula():
+    for n, H in ((2, 0.3), (2, 0.7), (3, 0.6)):
+        res = rate_fit(BMConfig(n=n, H=H, m_list=(16, 32, 64, 128)))
+        assert res.dc2_from_gap == tuple(dc2_bound_from_gap(n, g) for g in res.gaps)
 
 
 def test_sixth_moment_tends_to_catalan():

@@ -5,7 +5,6 @@ from oracles import moments_from_cumulants
 from wignerchaos.bounds import semicircle_moment
 from wignerchaos.chaos import (
     ChaosElement,
-    _sum_by_order,
     adjoint,
     chaos_from_json,
     chaos_to_json,
@@ -86,7 +85,7 @@ def test_sums_follow_numpy_promotion():
         (real[:1] + [cplx] + real[1:], np.complex128),
         ([cplx] + real, np.complex128),
     ):
-        got = _sum_by_order(GRID, terms).coeffs[2].data
+        got = ChaosElement._sum_by_key(GRID, terms).coeffs[2].data
         assert got.dtype == dtype
         assert np.array_equal(got, sum(f.data for f in terms))  # same order
     X = from_kernel(2, real[0]) + from_kernel(1, Kernel(GRID, 1, rng.standard_normal(3)))
@@ -301,6 +300,30 @@ def test_element_is_immutable():
     with pytest.raises(AttributeError):
         X.extra = 1
     assert X.orders == (0, 1, 2)
+
+
+def test_element_operators():
+    X, Y = rand_element(101), rand_element(102, orders=(1, 2))
+    assert close(X * Y, multiply(X, Y), 0.0)
+    assert close(-X, (-1.0) * X, 0.0)
+    assert close(X + (-X), X - X, 0.0) and not (X + (-X)).coeffs
+    for bad in (1.0, "x", None):
+        with pytest.raises(TypeError):
+            X + bad
+        with pytest.raises(TypeError):
+            X - bad
+    assert repr(X) == "ChaosElement(orders=[0, 1, 2])"
+    assert repr(one(GRID) - one(GRID)) == "ChaosElement(orders=[])"
+
+
+def test_elements_on_other_grids_are_refused():
+    X = rand_element(103)
+    other = from_kernel(1, cell_indicator(GridSpec(2.0, 3), 0))
+    for op in (lambda a, b: a + b, multiply, trace_of_product):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            op(X, other)
+    with pytest.raises(ValueError, match="share the element's grid"):
+        ChaosElement(GRID, {1: other.coeffs[1]})
 
 
 def test_json_roundtrip():

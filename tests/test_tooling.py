@@ -4,7 +4,8 @@
 renamed function breaks ``perfbench/run.py --trace 1`` only when the
 benchmark runs.  These tests catch that, and a stale ``__all__`` or
 re-export, in the tier-1 suite.  The last test holds every public integer
-parameter to the package's one integer check.
+parameter, and every integer in the keys of a public dict parameter, to the
+package's one integer check.
 """
 
 import ast
@@ -20,7 +21,7 @@ import pytest
 import wignerchaos
 from wignerchaos.breuer_major import BMConfig
 from wignerchaos.chaos import from_kernel
-from wignerchaos.grid_kernel import GridSpec, SplitKernel
+from wignerchaos.grid_kernel import GridSpec, SplitKernel, cell_indicator
 from wignerchaos.workloads import random_symmetric_unit_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,8 +93,13 @@ UNCHECKED_MODULES = {"cli"}
 RECORDS = {"ConstantsRow", "BoundReport", "BMResult"}
 
 
+# annotations of parameters that carry integers: the integer itself, or
+# the keys of a dict, one integer or a pair of integers per key
+INT_ANNOTATIONS = ("int", "dict[int, Kernel]", "dict[tuple[int, int], SplitKernel]")
+
+
 def public_int_parameters():
-    """(module, function, parameter) for every parameter annotated int."""
+    """(module, function, parameter) for every parameter carrying integers."""
     found = set()
     for module in package_modules():
         short = module.__name__.rpartition(".")[2]
@@ -107,8 +113,22 @@ def public_int_parameters():
                 params = inspect.signature(obj).parameters.values()
             except ValueError:  # an exception class has no signature
                 continue
-            found |= {(short, name, p.name) for p in params if p.annotation in ("int", int)}
+            found |= {
+                (short, name, p.name)
+                for p in params
+                if p.annotation in (*INT_ANNOTATIONS, int)
+            }
     return found
+
+
+def with_bad_integer(value, bad):
+    """Each argument that puts bad in one integer slot of the valid value."""
+    if not isinstance(value, dict):
+        return [bad]
+    ((key, term),) = value.items()
+    if not isinstance(key, tuple):
+        return [{bad: term}]
+    return [{(*key[:i], bad, *key[i + 1 :]): term} for i in range(len(key))]
 
 
 def valid_calls():
@@ -135,6 +155,8 @@ def valid_calls():
         ("breuer_major", "sigma2"): bm,
         ("breuer_major", "sigma2_tail_bound"): bm,
         ("breuer_major", "vm_kernel"): {"cfg": cfg, "m": 4},
+        ("bichaos", "BiChaosElement"): {"grid": grid, "coeffs": {(1, 1): w}},
+        ("chaos", "ChaosElement"): {"grid": grid, "coeffs": {1: cell_indicator(grid, 0)}},
         ("chaos", "from_kernel"): {"n": 2, "f": f},
         ("chaos", "moment"): {"X": from_kernel(2, f), "k": 3},
         ("chaos", "spectral_moments"): {"g": f, "k_max": 4},
@@ -170,6 +192,10 @@ def test_every_public_integer_parameter_is_checked():
         fn = getattr(import_module(f"wignerchaos.{module}"), name)
         kwargs = calls[(module, name)]
         fn(**kwargs)
+        # a key's integers are named by their role, such as order or split[0]
+        keyed = isinstance(kwargs[param], dict)
+        message = "must be an integer" if keyed else f"^{param} must be an integer"
         for bad in (2.5, True, "2"):
-            with pytest.raises(ValueError, match=f"^{param} must be an integer"):
-                fn(**{**kwargs, param: bad})
+            for value in with_bad_integer(kwargs[param], bad):
+                with pytest.raises(ValueError, match=message):
+                    fn(**{**kwargs, param: value})
