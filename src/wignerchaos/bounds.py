@@ -15,6 +15,7 @@ formula at n = 3 (8/3 by the formula, 2 in print), and we ship the formula.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -84,10 +85,17 @@ def C(n: int) -> ConstantsRow:
     """C_n by brute-force integer maximization of P_n over [1, n-1].
 
     The floor/ceil shortcut around u0 is evaluated too (clamped into
-    [1, n-1]) and reported in ``floor_ceil_c_n`` for comparison.
+    [1, n-1]) and reported in ``floor_ceil_c_n`` for comparison.  n is
+    checked first; rows are then kept per n, since a sweep of bound
+    reports or of sample sizes asks for the same few rows again and again.
+    A row is immutable, so one instance serves every caller.
     """
     _require_int("n", n, 2)
-    n = int(n)
+    return _constants_row(int(n))
+
+
+@functools.lru_cache(maxsize=128)
+def _constants_row(n: int) -> ConstantsRow:
     values = {u: P(n, u) for u in range(1, n)}
     argmax_u = max(values, key=lambda u: (values[u], -u))
     p_max = values[argmax_u]

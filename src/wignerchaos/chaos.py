@@ -408,11 +408,10 @@ def spectral_moments(g: Kernel, k_max: int) -> list[complex]:
         raise ValueError("spectral_moments needs an order-2 kernel")
     M = g.data * g.grid.cell_width
     kappa = {}
-    P = np.eye(M.shape[0], dtype=M.dtype)
-    for j in range(1, k_max + 1):
+    P = M
+    for j in range(2, k_max + 1):
         P = P @ M
-        if j >= 2:
-            kappa[j] = complex(np.trace(P))
+        kappa[j] = complex(np.trace(P))
     m = [1.0 + 0.0j]
     for k in range(1, k_max + 1):
         prefix = np.array(m)

@@ -58,8 +58,9 @@ class RunConfig:
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return str(v)
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        # repr of a numpy float names its type: np.float64(0.1)
+        return repr(float(v))
     if isinstance(v, (list, tuple)):
         return ",".join(_fmt(x) for x in v)
     if v is None:

@@ -19,17 +19,20 @@ stays valid for kernels that are only mirror-symmetric; the closed form
 over contraction norms is a second, independent path that requires full
 symmetry and is used for cross-validation and for the bound constants.
 
-Q is produced one split at a time by ``_quadratic_form_slots``: each slot
-is summed into one owned array, its later terms through a single scratch
-buffer per contraction order, and its finiteness is checked once, on the
-sum.  ``gradient_quadratic_form`` collects the slots; ``main_bound_lhs``
-reduces each to its squared norm as it comes and adds those in sorted
-split order, as ``norm2`` does, so it never holds Q and returns the same
-float.
+Q is produced one split at a time by ``_quadratic_form_slots``: the window
+matrix of each adjoint right factor is built once per contraction order q
+and serves every left factor it meets, and each slot is summed into one
+owned array, its later terms through a single scratch buffer per q.
+``gradient_quadratic_form`` wraps the slots as kernels, checking each sum
+for finiteness once.  ``main_bound_lhs`` reduces each slot to its squared
+norm in one pass and checks the entries only when that square is not
+finite; it adds the squares in sorted split order, as ``norm2`` does, so
+it never holds Q and returns the same float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,9 +50,10 @@ from .grid_kernel import (
     SplitKernel,
     _bicontract_array,
     _require_capacity,
+    _require_finite,
     _require_int,
+    _window_matrix,
     adjoint_split,
-    inner,
     is_symmetric,
     norm,
     slice_kernel,
@@ -93,44 +97,47 @@ def number_inverse(X: ChaosElement) -> ChaosElement:
 
 
 def _quadratic_form_slots(n: int, f: Kernel):
-    """Yield the quadratic form of f one split at a time, each as a wrapped SplitKernel.
+    """Yield the quadratic form of f one split at a time, as (split, array) pairs.
 
     Slot (v, 2(n-q) - v) of Q is the sum over s = max(0, v-(n-q))..min(v, n-q),
     ascending, of the (q, s, v - s) bicontraction (see gradient_quadratic_form);
-    distinct q give distinct slot orders, so no slot is reached twice.  Each
-    slot is one array owned here: its first term is written straight into it
-    and each later term into one scratch buffer per q, reused, then added in
-    place.  Only that slot, the scratch buffer, the current left factor and
-    the n adjoint right factors are alive while a slot is built.
+    distinct q give distinct slot orders, so no slot is reached twice.  The
+    right factor of term (q, s, s') depends on q and s' only, so its window
+    matrix is built once per (q, s'): sum_q (n-q+1) = n(n+1)/2 matrices,
+    each the size of f.  Each slot is one array owned here: its first term
+    is written straight into it and each later term into one scratch buffer
+    per q, reused, then added in place.  Only that slot, the scratch buffer,
+    the current left factor, the n adjoint right factors and the window
+    matrices of one q are alive while a slot is built.
 
     Every slot has order at most 2(n-1), so one cap check, made before any
-    factor is built, covers them all.  Finiteness is checked once per slot
-    sum, when it is wrapped: a non-finite term leaves the sum non-finite,
-    since inf and nan are absorbing under addition.
+    factor is built, covers them all.  The arrays are not checked here: the
+    caller checks each slot sum once, and a non-finite term leaves the sum
+    non-finite, since inf and nan are absorbing under addition.
     """
     _require_int("n", n, 1)
     if f.order != n:
         raise ValueError("gradient_quadratic_form needs f of order n >= 1")
-    grid = f.grid
-    _require_capacity(grid.cells, 2 * (n - 1))
+    cells = f.grid.cells
+    _require_capacity(cells, 2 * (n - 1))
     rights = [adjoint_split(SplitKernel(f, (j, n - j))) for j in range(1, n + 1)]
     for q in range(1, n + 1):
         left = f * (q / n)
         free = n - q  # free axes of each factor; the slot has order 2 * free
-        shape = (grid.cells,) * (2 * free)
+        windows = [
+            _window_matrix(w.kernel, w.split, 1, q - 1) for w in rights[: free + 1]
+        ]
+        shape = (cells,) * (2 * free)
         scratch = np.empty(shape, f.data.dtype) if free > 0 else None
         for v in range(2 * free + 1):
             acc = np.empty(shape, f.data.dtype)
             first = max(0, v - free)
             for s in range(first, min(v, free) + 1):
-                right = rights[v - s]
                 out = acc if s == first else scratch
-                _bicontract_array(
-                    left, (s + 1, n - s - 1), right.kernel, right.split, 1, q - 1, out
-                )
+                _bicontract_array(left, (s + 1, n - s - 1), windows[v - s], 1, q - 1, out)
                 if s > first:
                     acc += scratch
-            yield SplitKernel(Kernel._wrap(grid, 2 * free, acc), (v, 2 * free - v))
+            yield (v, 2 * free - v), acc
 
 
 def gradient_quadratic_form(n: int, f: Kernel) -> BiChaosElement:
@@ -164,7 +171,14 @@ def gradient_quadratic_form(n: int, f: Kernel) -> BiChaosElement:
     slots come from the streaming generator _quadratic_form_slots, which
     sums each into one owned array.
     """
-    return BiChaosElement(f.grid, {w.split: w for w in _quadratic_form_slots(n, f)})
+    grid = f.grid
+    return BiChaosElement(
+        grid,
+        {
+            split: SplitKernel(Kernel._wrap(grid, sum(split), acc), split)
+            for split, acc in _quadratic_form_slots(n, f)
+        },
+    )
 
 
 def main_bound_lhs(n: int, f: Kernel) -> float:
@@ -172,17 +186,24 @@ def main_bound_lhs(n: int, f: Kernel) -> float:
 
     The slots of Q are orthogonal, so the squared bi-norm is the sum over
     splits of h^order * ||slot - delta_{order,0}||^2.  Each slot is taken
-    from _quadratic_form_slots, reduced to that float and dropped, so at
-    most two slot arrays and one scratch buffer are alive at a time.  The
-    floats are added in sorted split order, the order norm2 uses, so the
-    result is bit-identical to norm2(gradient_quadratic_form(n, f) - 1 (x) 1).
+    from _quadratic_form_slots, reduced to that float by one vdot, as
+    ``inner`` computes it, and dropped, so at most two slot arrays and one
+    scratch buffer are alive at a time.  Only a square that is not finite
+    sends the slot to the entry check: a non-finite entry raises, and an
+    overflowed square of finite entries stays inf.  The floats are added
+    in sorted split order, the order norm2 uses, so the result is
+    bit-identical to norm2(gradient_quadratic_form(n, f) - 1 (x) 1).
     """
+    h = f.grid.cell_width
     parts = {}
-    for w in _quadratic_form_slots(n, f):
-        k = w.kernel
-        if k.order == 0:
-            k = Kernel._wrap(f.grid, 0, k.data - 1.0)
-        parts[w.split] = inner(k, k).real
+    for split, acc in _quadratic_form_slots(n, f):
+        order = sum(split)
+        if order == 0:
+            acc = acc - 1.0
+        part = (h**order * complex(np.vdot(acc, acc))).real
+        if not math.isfinite(part):
+            _require_finite(acc)
+        parts[split] = part
     total = 0.0
     for split in sorted(parts):
         total += parts[split]

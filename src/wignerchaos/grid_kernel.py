@@ -20,9 +20,12 @@ of the tensor product with the flat L2 space).
 The contracted blocks are *nested*: in ``contract(f, g, p)`` the last axis
 of f pairs with the first axis of g, the second-to-last with the second, and
 so on.  ``bicontract`` applies the same nesting at both junctions; see the
-docstrings below for the exact axis lists.  Both are computed by
-``_bicontract_array``, the only place where the reversal convention is
-implemented.
+docstrings below for the exact axis lists.  Both are computed in two
+steps: ``_window_matrix`` permutes the right factor into pairing order and
+scales it by the cell weights, the only place where the reversal
+convention is implemented, and ``_bicontract_array`` multiplies the left
+factor by that matrix, so a caller that pairs one right factor with many
+left factors builds its matrix once.
 """
 
 from __future__ import annotations
@@ -471,7 +474,7 @@ def contract(f: Kernel, g: Kernel, p: int) -> Kernel:
     n, m = f.order, g.order
     _require_int("p", p, 0, min(n, m))
     _require_capacity(f.grid.cells, n + m - 2 * p)
-    out = _bicontract_array(f, (n, 0), g, (m, 0), p, 0)
+    out = _bicontract_array(f, (n, 0), _window_matrix(g, (m, 0), p, 0), p, 0)
     return Kernel._wrap(f.grid, n + m - 2 * p, out)
 
 
@@ -511,32 +514,46 @@ def bicontract(f: SplitKernel, g: SplitKernel, p: int, r: int) -> SplitKernel:
     _require_int("r", r, 0, min(m1, m2))
     out_split = (n1 + n2 - 2 * p, m1 + m2 - 2 * r)
     _require_capacity(f.kernel.grid.cells, sum(out_split))
-    out = _bicontract_array(f.kernel, f.split, g.kernel, g.split, p, r)
+    G = _window_matrix(g.kernel, g.split, p, r)
+    out = _bicontract_array(f.kernel, f.split, G, p, r)
     return SplitKernel(Kernel._wrap(f.kernel.grid, sum(out_split), out), out_split)
 
 
-def _bicontract_array(f: Kernel, f_split, g: Kernel, g_split, p: int, r: int, out=None):
-    """The array of ``bicontract``: a C-contiguous (N,)*order result.
+def _window_matrix(g: Kernel, g_split, p: int, r: int) -> np.ndarray:
+    """G of ``bicontract``: h^(p+r) * g with its axes in pairing order.
 
-    Written into ``out`` when given (an owned C-contiguous array of that
-    shape and of the result's dtype), else into a fresh array.
-    Unvalidated; see the ``bicontract`` docstring for the identity used.
+    The first p + r axes are g's window in the order the nested junctions
+    pair it with f's window (g axes p-1, ..., 0, then n2+m2-1, ...,
+    n2+m2-r), the rest are g's free axes in g's own order.  The result is
+    an owned C-contiguous array of shape (N,)*(n2+m2), so reading it as the
+    (N^(p+r), N^(n2+m2-p-r)) matrix is free and its order stays known.
+    This is the only place where the reversal convention is implemented.
+    Unvalidated.
     """
-    (n1, m1), (n2, m2) = f_split, g_split
-    cells = f.grid.cells
-    lead, window, trail = cells ** (n1 - p), cells ** (p + r), cells ** (m1 - r)
-    order = n1 + m1 + n2 + m2 - 2 * (p + r)
+    n2, m2 = g_split
     last = n2 + m2 - 1
-    # g's window in pairing order, then its free axes
     g_perm = (
         list(range(p - 1, -1, -1))
         + list(range(last, last - r, -1))
         + list(range(p, last - r + 1))
     )
     gt = np.transpose(g.data, g_perm)
-    G = np.multiply(
-        gt, f.grid.cell_width ** (p + r), out=np.empty(gt.shape, gt.dtype)
-    ).reshape(window, -1)
+    return np.multiply(gt, g.grid.cell_width ** (p + r), out=np.empty(gt.shape, gt.dtype))
+
+
+def _bicontract_array(f: Kernel, f_split, G: np.ndarray, p: int, r: int, out=None):
+    """The array of ``bicontract`` of f with the g whose window matrix is G.
+
+    A C-contiguous (N,)*order result, written into ``out`` when given (an
+    owned C-contiguous array of that shape and of the result's dtype), else
+    into a fresh array.  One G serves every f it is bicontracted with.
+    Unvalidated; see the ``bicontract`` docstring for the identity used.
+    """
+    n1, m1 = f_split
+    cells = f.grid.cells
+    lead, window, trail = cells ** (n1 - p), cells ** (p + r), cells ** (m1 - r)
+    order = n1 + m1 + G.ndim - 2 * (p + r)
+    G = G.reshape(window, -1)
     if trail == 1:
         # one matrix product, not one matrix-vector product per lead index
         a, b, out_shape = f.data.reshape(lead, window), G, (lead, -1)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from wignerchaos.bounds import (
     semicircle_moment,
     u0,
 )
+from wignerchaos.breuer_major import BMConfig, rate_fit
+
+bounds_module = import_module("wignerchaos.bounds")
 
 
 def test_P_small_values():
@@ -85,6 +89,35 @@ def test_C_argmax_is_floor_or_ceil_of_u0():
 def test_C_rejects_n_below_2():
     with pytest.raises(ValueError):
         C(1)
+
+
+def test_C_rejects_non_integers_before_its_cache():
+    # an unhashable list must be refused by the check, not fail in the cache
+    for bad in ([2], 2.0, True, "2"):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            C(bad)
+
+
+def test_rate_fit_computes_C_n_once(monkeypatch):
+    # one C_n evaluation calls P n + 1 times: n - 1 integers and the two
+    # neighbours of u0; the fit reads C_n once per sample size
+    calls = []
+    original = bounds_module.P
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bounds_module, "P", counting)
+    bounds_module._constants_row.cache_clear()
+    n = 3
+    cfg = BMConfig(n=n, H=0.6, m_list=tuple(8 << i for i in range(8)))
+    result = rate_fit(cfg)
+    assert len(result.dc2_from_gap) == 8
+    assert len(calls) == n + 1
+    calls.clear()
+    rate_fit(cfg)
+    assert not calls
 
 
 def test_numpy_integers_compute_in_python_integers():

@@ -9,7 +9,7 @@ import pytest
 
 import wignerchaos
 from wignerchaos.bichaos import norm2
-from wignerchaos.cli import main
+from wignerchaos.cli import _fmt, main
 from wignerchaos.grid_kernel import (
     GridSpec,
     inner,
@@ -30,6 +30,16 @@ def run(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_fmt_prints_numpy_floats_as_plain_floats():
+    # repr of a numpy float names its type; CSV must print what JSON prints
+    assert _fmt(np.float64(0.1)) == "0.1" == json.dumps(np.float64(0.1))
+    assert _fmt(np.float32(0.1)) == repr(float(np.float32(0.1)))
+    assert _fmt([np.float64(0.5), 2, np.float32(0.25)]) == "0.5,2,0.25"
+    assert _fmt(0.1) == "0.1"
+    assert _fmt(np.float64("inf")) == "inf"
+    assert _fmt(True) == "True"
 
 
 def test_counterexample_kernel_shape():

@@ -254,17 +254,22 @@ def test_folded_quadratic_form_matches_cell_loop():
                 assert err <= 1e-12, (n, cells, split)
 
 
-def count_products(monkeypatch):
-    # every product of the quadratic form goes through this private seam
+def count_calls(monkeypatch, name):
+    # calls the gradient module makes to one private function
     calls = []
-    original = gradient_module._bicontract_array
+    original = getattr(gradient_module, name)
 
     def counting(*args):
         calls.append(None)
         return original(*args)
 
-    monkeypatch.setattr(gradient_module, "_bicontract_array", counting)
+    monkeypatch.setattr(gradient_module, name, counting)
     return calls
+
+
+def count_products(monkeypatch):
+    # every product of the quadratic form goes through this private seam
+    return count_calls(monkeypatch, "_bicontract_array")
 
 
 def test_quadratic_form_bicontract_calls_do_not_grow_with_cells(monkeypatch):
@@ -290,6 +295,18 @@ def test_quadratic_form_makes_one_bicontraction_per_q_s_s_prime(monkeypatch):
             route(n, f)
             want = sum((n - q + 1) ** 2 for q in range(1, n + 1))
             assert len(calls) == want, (route.__name__, n)
+
+
+def test_quadratic_form_builds_one_window_matrix_per_q_s_prime(monkeypatch):
+    # the right factor of term (q, s, s') does not depend on s: its window
+    # matrix is built once per (q, s'), sum_q (n - q + 1) in all
+    calls = count_calls(monkeypatch, "_window_matrix")
+    for route in (gradient_quadratic_form, main_bound_lhs):
+        for n in range(1, 6):
+            f = random_complex_kernel(GridSpec(1.0, 2), n, seed=44, index=n)
+            calls.clear()
+            route(n, f)
+            assert len(calls) == n * (n + 1) // 2, (route.__name__, n)
 
 
 def streamed_route_kernels(n, cells):
@@ -370,6 +387,34 @@ def test_streamed_lhs_rejects_overflowing_products():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="kernel entries must be finite"):
             main_bound_lhs(2, f)
+
+
+def test_streamed_lhs_checks_entries_only_when_a_square_is_not_finite(monkeypatch):
+    calls = count_calls(monkeypatch, "_require_finite")
+    f = random_symmetric_unit_kernel(GridSpec(1.0, 3), 3, seed=59, index=2)
+    assert math.isfinite(main_bound_lhs(3, f))
+    assert not calls
+    # finite entries of about 1e200 in each slot: their squares overflow,
+    # the entry check passes, and the norm is inf, not an error
+    big = Kernel(GridSpec(1.0, 2), 2, np.full((2, 2), 1e100))
+    with np.errstate(over="ignore"):
+        assert main_bound_lhs(2, big) == math.inf
+    assert calls
+
+
+def test_lhs_and_report_floats_are_builtin_floats():
+    # numpy floats would print as np.float64(...) through repr
+    for n, f in (
+        (3, random_symmetric_unit_kernel(GridSpec(1.0, 3), 3, seed=31, index=1)),
+        (3, counterexample_kernel(4)),
+        (2, Kernel(GridSpec(1.0, 2), 2, np.eye(2, dtype=np.complex128) / math.sqrt(2.0 / 4))),
+    ):
+        assert type(main_bound_lhs(n, f)) is float
+        fields = asdict(bound_report(n, f))
+        for name in ("gap", "lhs", "c_n", "dc2_from_gap", "dc2_from_lhs"):
+            assert type(fields[name]) is float, (n, name)
+        assert fields["lhs_closed_form"] is None or type(fields["lhs_closed_form"]) is float
+        assert type(fields["bound_satisfied"]) is bool
 
 
 def test_real_kernels_match_their_complex_embeddings():

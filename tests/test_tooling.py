@@ -2,8 +2,8 @@
 
 ``perfbench/tracing.py`` wraps module bindings by name, so a deleted or
 renamed function breaks ``perfbench/run.py --trace 1`` only when the
-benchmark runs.  These tests catch that, and a stale ``__all__`` or
-re-export, in the tier-1 suite.  The last test holds every public integer
+benchmark runs.  These tests catch that, a stale ``__all__`` or
+re-export, and a benchmark item whose checks fail, in the tier-1 suite.  The last test holds every public integer
 parameter, and every integer in the keys of a public dict parameter, to the
 package's one integer check.
 """
@@ -11,7 +11,9 @@ package's one integer check.
 import ast
 import importlib.util
 import inspect
+import json
 import pkgutil
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -42,17 +44,18 @@ def bindings(modules):
     }
 
 
-def load_tracing():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_install_uninstall_restores_every_binding():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     classes = [owner for _, owner, _, _, _ in tracing.SPANS if isinstance(owner, type)]
     owners = [wignerchaos, *package_modules(), *classes]
     before = bindings(owners)
@@ -68,6 +71,20 @@ def test_tracer_install_uninstall_restores_every_binding():
     changed = [key for key in before if after.get(key) is not before[key]]
     assert not changed
     assert after.keys() == before.keys()
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_every_benchmark_item_passes_its_checks(workload, tmp_path):
+    # one pass over the items the benchmark times: a failed check here
+    # would lower the benchmark's ok_frac
+    workloads = load_perfbench("workloads")
+    refs = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    items = workloads.build(workload, 1, refs, str(tmp_path))
+    assert items
+    assert [msg for item in items for msg in item.run()] == []
 
 
 def test_every_all_name_resolves():
