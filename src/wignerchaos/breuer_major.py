@@ -25,8 +25,11 @@ identities make that sum O(m^2) in time and O(m) in memory:
   P[i+1, j+1] = P[i, j] + a[i+1] b[j+1] - a[m-1-i] b[m-1-j].  Each diagonal
   of P (and of P^T = BA) is then its first-row entry plus a running sum,
   and tr(ABAB) = sum_d w_d <diag_d P, diag_d P^T> is read off the first
-  halves of those diagonals (P is centrosymmetric), a block of diagonals
-  at a time, with no m x m array;
+  halves of those diagonals (P is centrosymmetric), with no m x m array.
+  A block of diagonals costs three numpy passes over one two-lane buffer:
+  one einsum writes the rank-2 steps, one cumsum over the buffer viewed as
+  complex runs both lanes' sums, and a row dot over the full-weight head
+  plus a clip-weighted ragged tail gives the weighted products;
 * the exact variance sum R^n = m r_0^n + 2 sum_d (m-d) r_d^n is an O(m)
   sum over lags.
 """
@@ -135,12 +138,20 @@ def rho(H: float, k: int) -> float:
     """Autocovariance of unit-step fractional increments at lag k (of either sign)."""
     _require_hurst(H)
     _require_int("k", k, -math.inf)
-    return float(_rho_at(H, float(abs(k))))
+    k = float(abs(k))
+    e = 2 * H
+    return float(_rho_from_powers((k + 1) ** e, abs(k - 1) ** e, k**e))
 
 
-def _rho_at(H: float, k):
-    """rho_H at the lags k >= 0, a float or a float64 array."""
-    return 0.5 * ((k + 1) ** (2 * H) + np.abs(k - 1) ** (2 * H) - 2 * k ** (2 * H))
+def _rho_from_powers(up, down, mid):
+    """rho_H(k) = ((k+1)^(2H) + |k-1|^(2H) - 2 k^(2H)) / 2 from its three powers."""
+    return 0.5 * (up + down - 2 * mid)
+
+
+def _rho_lags(H: float, count: int) -> np.ndarray:
+    """rho_H at the lags 0..count-1, from one power per lag: pw[j] = j^(2H)."""
+    pw = np.arange(count + 1, dtype=np.float64) ** (2 * H)
+    return _rho_from_powers(pw[1:], pw[np.abs(np.arange(count) - 1)], pw[:-1])
 
 
 def sigma2(n: int, H: float, K: int) -> float:
@@ -152,7 +163,7 @@ def sigma2(n: int, H: float, K: int) -> float:
     """
     _require_int("K", K, 1)
     _require_summable(n, H)
-    r = _rho_at(H, np.arange(K + 1, dtype=np.float64))
+    r = _rho_lags(H, K + 1)
     return float(r[0] ** n + 2.0 * np.sum(r[1:] ** n))
 
 
@@ -182,32 +193,40 @@ def _toeplitz(r: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(c, len(r))[::-1]
 
 
-_DIAGONAL_BLOCK = 128  # diagonals per pass of _trace_abab; 64..256 time the same
-
-
-def _half_diagonals(x, y, first, d, width):
-    """The first ``width`` entries of the diagonals d of P = T(x) T(y).
-
-    Entry i of diagonal d is P[i, i+d] = first[d] + sum_{s=1}^{i} (x[s] y[s+d]
-    - x[m-s] y[m-s-d]), m = len(x).  ``y_pad`` and ``y_mirror`` carry zeros
-    where an index leaves 0..m-1, so the entries past the end of a short
-    diagonal come out finite (the caller weights them 0).
-    """
-    zeros = np.zeros(width)
-    y_pad = np.concatenate((y, zeros))  # y[k]
-    y_mirror = np.concatenate(([0.0], y[::-1], zeros))  # y[m - k]
-    x_mirror = np.concatenate(([0.0], x[:0:-1]))[:width]  # x[m - i]
-    fwd = np.lib.stride_tricks.sliding_window_view(y_pad, width)[d[0] : d[-1] + 1]
-    back = np.lib.stride_tricks.sliding_window_view(y_mirror, width)[d[0] : d[-1] + 1]
-    steps = fwd * x[:width]
-    steps -= back * x_mirror
-    steps[:, 0] = first[d]
-    return np.cumsum(steps, axis=1, out=steps)
+# diagonals per lane and pass of _trace_abab; at 64 one pass's buffer fits in L2
+_DIAGONAL_BLOCK = 64
 
 
 def _first_row(x, y):
     # P[0, d] = sum_k x_k y_|k-d|: one correlation with the mirrored lags of y
     return np.correlate(np.concatenate((y[:0:-1], y)), x, "valid")[::-1]
+
+
+def _lane(x, y, length, width):
+    """Operands of the running sums along the diagonals of P = T(x) T(y).
+
+    Returns the sequences (y[t], y[m-t]) for t < length, the signed weights
+    (x[i], -x[m-i]) for i < width, and the first row P[0, t] for t < length,
+    m = len(x), all zero wherever an index leaves 0..m-1: the step of entry i
+    of diagonal d is then x[i] y[d+i] - x[m-i] y[m-d-i], finite past the end
+    of a short diagonal, and every diagonal d >= m is exactly zero.
+    """
+    m = len(x)
+    seqs = np.zeros((2, length))
+    seqs[0, :m] = y
+    seqs[1, 1 : m + 1] = y[::-1]
+    signed = np.zeros((2, width))
+    signed[0] = x[:width]
+    signed[1, 1:] = -x[:0:-1][: width - 1]
+    first = np.zeros(length)
+    first[:m] = _first_row(x, y)
+    return seqs, signed, first
+
+
+def _row_dots(x, y):
+    # <x[d], y[d]> for every row d as one batched product: BLAS dots, which
+    # lose fewer digits over a long row than einsum's single running sum
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def _trace_abab(a: np.ndarray, b: np.ndarray) -> float:
@@ -227,24 +246,55 @@ def _trace_abab(a: np.ndarray, b: np.ndarray) -> float:
     P is centrosymmetric (J P J = P), so diagonal d, of length L = m - d, is
     a palindrome: only its first ceil(L/2) entries are formed, with weight
     2, except the middle one (L odd), which has weight 1; that is the weight
-    clip(L - 2i, 0, 2) of entry i.  When a is b, P^T = P.  The diagonals are
-    taken _DIAGONAL_BLOCK at a time, so no array exceeds that many rows.
+    clip(L - 2i, 0, 2) of entry i.
+
+    The diagonals go in blocks of _DIAGONAL_BLOCK rows through one
+    (rows, width, 2) buffer of two lanes.  When a is not b, lane 0 holds
+    diagonals of P and lane 1 the same diagonals of P^T; when a is b,
+    P^T = P and lane 1 holds the next block's diagonals, so a pass covers
+    two blocks.  One einsum writes both terms of every step of both lanes,
+    one cumsum over the buffer viewed as complex runs the two lanes' sums
+    at once, and the weighted dot is a plain row dot over the columns where
+    every row has weight 2, plus a clip-weighted ragged tail.
     """
     m = len(a)
-    first_ab = _first_row(a, b)
-    first_ba = first_ab if a is b else _first_row(b, a)
+    block = _DIAGONAL_BLOCK
+    shift = block if a is b else 0  # diagonal offset of lane 1 from lane 0
+    width = (m + 1) // 2  # entries formed of diagonal 0
+    length = m + width  # room for every window a pass reads
+    seqs, signed, first = _lane(a, b, length + shift, width)
+    if a is b:
+        lane1 = seqs[:, shift:], signed, first[shift:]
+    else:
+        lane1 = _lane(b, a, length, width)
+    seqs = np.stack((seqs[:, :length], lane1[0]), axis=-1)  # [k, t, lane]
+    signed = np.stack((signed, lane1[1]), axis=-1)  # [k, i, lane]
+    first = np.stack((first[:length], lane1[2]), axis=-1)  # [d, lane]
+    windows = np.lib.stride_tricks.sliding_window_view(seqs, width, axis=1)
+    store = np.empty(block * width * 2)
+    offsets = np.arange(block)
+    twice_i = 2.0 * np.arange(width)
+    pairs = ((0, 0), (1, 1)) if a is b else ((0, 1),)
     total = 0.0
-    for d0 in range(0, m, _DIAGONAL_BLOCK):
-        d = np.arange(d0, min(d0 + _DIAGONAL_BLOCK, m))
-        width = (m - d0 + 1) // 2
-        P = _half_diagonals(a, b, first_ab, d, width)
-        Pt = P if a is b else _half_diagonals(b, a, first_ba, d, width)
-        weights = (m - d[:, None]) - 2.0 * np.arange(width)
-        np.clip(weights, 0.0, 2.0, out=weights)
-        weights *= np.where(d > 0, 2.0, 1.0)[:, None]
-        weights *= P
-        total += float(np.vdot(weights, Pt))
-        del P, Pt, weights  # free this block before the next one is built
+    for d0 in range(0, m, block + shift):
+        rows, w = min(block, m - d0), (m - d0 + 1) // 2
+        buf = store[: rows * w * 2].reshape(rows, w, 2)
+        np.einsum(
+            "kdli,kil->dil", windows[:, d0 : d0 + rows, :, :w], signed[:, :w], out=buf
+        )
+        buf[:, 0] = first[d0 : d0 + rows]
+        sums = buf.view(np.complex128)  # lane 0 real, lane 1 imaginary
+        np.cumsum(sums, axis=1, out=sums)
+        # columns below `head` have weight 2 in every row of both lanes
+        head = (m - min(d0 + shift + rows - 1, m - 1)) // 2
+        for p, q in pairs:
+            d = d0 + p * shift
+            tail = (m - d - offsets[:rows])[:, None] - twice_i[head:w]
+            np.clip(tail, 0.0, 2.0, out=tail)
+            dots = 2.0 * _row_dots(buf[:, :head, p], buf[:, :head, q])
+            dots += _row_dots(buf[:, head:, p] * tail, buf[:, head:, q])
+            # w_d = 2, except w_0 = 1 for the main diagonal
+            total += 2.0 * float(dots.sum()) - (float(dots[0]) if d == 0 else 0.0)
     return total
 
 
@@ -256,10 +306,16 @@ def _cholesky_factor(H: float, m: int) -> np.ndarray:
     _require_hurst(H)
     _require_int("m", m, 1)
     _require_capacity(m, 2)  # before the m x m covariance and factor
-    cov = _toeplitz(_rho_at(H, np.arange(m, dtype=np.float64)))
-    for jitter in (0.0, 1e-12, 1e-10, 1e-8):
+    r = _rho_lags(H, m)
+    cov = _toeplitz(r)
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        cov = np.array(cov)  # one writable copy for the jittered retries
+    for jitter in (1e-12, 1e-10, 1e-8):
+        np.fill_diagonal(cov, r[0] + jitter)
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(m))
+            return np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError(
@@ -343,12 +399,16 @@ def gap_fast(cfg: BMConfig, m: int) -> float:
       of P = A_u B_u is its first-row entry plus a running sum of a rank-2
       sequence, and tr(ABAB) is a weighted sum of the products of the
       diagonals of P and P^T, of which only the first halves are formed
-      (P is centrosymmetric); see ``_trace_abab``;
+      (P is centrosymmetric).  Per block of diagonals, one einsum forms the
+      steps of two lanes (P and P^T, or two blocks of P when 2u = n), one
+      complex cumsum runs both lanes' sums, and the weighted dot is a row
+      dot over the full-weight head plus a weighted ragged tail; see
+      ``_trace_abab``;
     * variance: sum(R^n) = m r_0^n + 2 sum_{d=1}^{m-1} (m-d) r_d^n.
     """
     _require_int("m", m, 1)
     n = cfg.n
-    r = _rho_at(cfg.H, np.arange(m, dtype=np.float64))
+    r = _rho_lags(cfg.H, m)
     if cfg.normalization == "exact_variance":
         weights = np.arange(m - 1, 0, -1, dtype=np.float64)  # m - d, d = 1..m-1
         variance = float(m * r[0] ** n + 2.0 * np.dot(weights, r[1:] ** n))

@@ -78,6 +78,14 @@ def test_rho_basic_values():
     assert rho(0.3, -3) == rho(0.3, 3)
 
 
+@pytest.mark.parametrize("H", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_rho_lags_equal_the_three_power_formula_per_lag(H):
+    for count in (1, 2, 3, 100, 100001):
+        k = np.arange(count, dtype=np.float64)
+        want = 0.5 * ((k + 1) ** (2 * H) + np.abs(k - 1) ** (2 * H) - 2 * k ** (2 * H))
+        assert np.array_equal(breuer_major._rho_lags(H, count), want), count
+
+
 def test_rho_decay_sign():
     # rho is negative for H < 1/2 at positive lags, positive for H > 1/2
     assert rho(0.3, 1) < 0
@@ -204,18 +212,35 @@ def test_gap_fast_matches_dense_gram_oracle(n, H, normalization):
         assert abs(gap_fast(cfg, m) - want) <= 1e-12 * want, (m, want)
 
 
+def _block_sizes():
+    # around one, two, three and four blocks of diagonals: odd block counts,
+    # and an empty second lane when both operands are one array
+    B = breuer_major._DIAGONAL_BLOCK
+    return sorted({B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B, 4 * B + 1, 101})
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("H", [0.3, 0.7])
 @pytest.mark.parametrize("normalization", ["exact_variance", "asymptotic_sigma"])
 def test_gap_fast_matches_dense_oracle_at_block_boundaries(n, H, normalization):
     # the diagonals of the Toeplitz product are taken a block at a time:
-    # sizes around one and two blocks, and odd m (a palindrome with a middle)
-    B = breuer_major._DIAGONAL_BLOCK
-    sizes = sorted({B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 101})
+    # sizes around block boundaries, and odd m (a palindrome with a middle)
+    sizes = _block_sizes()
     cfg = BMConfig(n=n, H=H, m_list=sizes, truncation=1000, normalization=normalization)
     for m in sizes:
         want = dense_gap(cfg, m)
         assert abs(gap_fast(cfg, m) - want) <= 1e-12 * want, (m, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("H", [0.3, 0.7])
+def test_trace_of_one_operand_matches_two_equal_operands(n, H):
+    # a is b puts the next block's diagonals in lane 1; a copy puts P^T there
+    for m in _block_sizes():
+        r = breuer_major._rho_lags(H, m) ** n
+        same = breuer_major._trace_abab(r, r)
+        apart = breuer_major._trace_abab(r, r.copy())
+        assert abs(same - apart) <= 1e-13 * abs(apart), (m, same, apart)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -353,6 +378,40 @@ def test_hurst_index_is_checked_before_the_covariance(H):
     for call in calls:
         with pytest.raises(ValueError, match=r"^H must lie in \(0, 1\)$"):
             call()
+
+
+def _failing_cholesky(monkeypatch, failures):
+    real = np.linalg.cholesky
+    calls = []
+
+    def cholesky(a):
+        calls.append(a)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("forced")
+        return real(a)
+
+    monkeypatch.setattr(breuer_major.np.linalg, "cholesky", cholesky)
+    return calls
+
+
+def test_cholesky_retry_factors_the_jittered_covariance(monkeypatch):
+    H, m = 0.7, 12
+    calls = _failing_cholesky(monkeypatch, 1)
+    L = breuer_major._cholesky_factor(H, m)
+    cov = np.array([[rho(H, i - j) for j in range(m)] for i in range(m)])
+    assert len(calls) == 2
+    assert np.allclose(L @ L.T, cov + 1e-12 * np.eye(m), rtol=0.0, atol=1e-14)
+    assert np.array_equal(calls[1], calls[0] + 1e-12 * np.eye(m))
+
+
+def test_cholesky_gives_up_after_the_largest_jitter(monkeypatch):
+    calls = _failing_cholesky(monkeypatch, math.inf)
+    with pytest.raises(
+        np.linalg.LinAlgError,
+        match=r"^covariance for H=0\.7, m=12 is not positive semidefinite$",
+    ):
+        breuer_major._cholesky_factor(0.7, 12)
+    assert len(calls) == 4
 
 
 def test_increment_kernels_refuse_over_cap_before_allocating(monkeypatch):
