@@ -114,15 +114,22 @@ def _constants_row(n: int) -> ConstantsRow:
 
 
 def dc2_bound_from_gap(n: int, gap: float) -> float:
-    """Distance bound (sqrt(C_n)/2) * sqrt(phi(F^4) - 2)."""
-    if gap < 0:
+    """Distance bound (sqrt(C_n)/2) * sqrt(phi(F^4) - 2).
+
+    nan is refused; inf passes and gives inf, as main_bound_lhs does on
+    overflow.
+    """
+    if not gap >= 0:
         raise ValueError("gap must be >= 0")
     return 0.5 * math.sqrt(C(n).c_n) * math.sqrt(gap)
 
 
 def dc2_bound_from_lhs(lhs: float) -> float:
-    """Distance bound (1/2) * sqrt(lhs) via Cauchy-Schwarz on the bi-norm."""
-    if lhs < 0:
+    """Distance bound (1/2) * sqrt(lhs) via Cauchy-Schwarz on the bi-norm.
+
+    nan is refused; inf, which main_bound_lhs returns on overflow, passes.
+    """
+    if not lhs >= 0:
         raise ValueError("lhs must be >= 0")
     return 0.5 * math.sqrt(lhs)
 
@@ -138,8 +145,8 @@ def catalan(k: int) -> int:
 
 def semicircle_moment(t: float, k: int) -> float:
     """Moments of the centered semicircular law with variance t."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    if not 0 < t < math.inf:  # nan fails the comparison too
+        raise ValueError(f"t must be > 0 and finite, got {t!r}")
     _require_int("k", k, 0)
     if k % 2 == 1:
         return 0.0

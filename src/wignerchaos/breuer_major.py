@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bounds
-from .grid_kernel import GridSpec, Kernel, _require_capacity, _require_int, norm
+from .grid_kernel import GridSpec, Kernel, _require_capacity, _require_int
 
 __all__ = [
     "BMConfig",
@@ -334,7 +334,7 @@ def increment_kernels(H: float, m: int) -> list[Kernel]:
     """
     L = _cholesky_factor(H, m)
     grid = GridSpec(float(m), m)
-    return [Kernel(grid, 1, L[i, :]) for i in range(m)]
+    return [Kernel._wrap(grid, 1, L[i].copy()) for i in range(m)]
 
 
 def chebyshev_U(n: int, x: float) -> float:
@@ -359,25 +359,24 @@ def vm_kernel(cfg: BMConfig, m: int) -> Kernel:
     The unnormalized kernel sum_k L[k]^{(x) n} is one matrix product
     K^T L, where L is the Cholesky factor (row k is increment k) and row k
     of K is the (n-1)-fold Kronecker power of L[k]; for n = 2 it is L^T L.
+    The grid has cell width 1, so the L2 norm of the raw kernel is the
+    Euclidean norm of its entries.  Any m >= 1 is accepted, as in gap_fast.
     """
     _require_int("m", m, 1)
-    if m not in cfg.m_list:
-        raise ValueError(f"m={m} is not in the configured m_list")
     _require_capacity(m, cfg.n)
     L = _cholesky_factor(cfg.H, m)
     K = L
     for _ in range(cfg.n - 2):
         K = (K[:, :, None] * L[:, None, :]).reshape(m, -1)
     raw = (K.T @ L).reshape((m,) * cfg.n)
-    kern = Kernel(GridSpec(float(m), m), cfg.n, raw)
     if cfg.normalization == "exact_variance":
-        scale = 1.0 / norm(kern)
+        scale = 1.0 / math.sqrt(np.vdot(raw, raw))
     else:
         s2 = cfg.limit_variance
         if s2 <= 0:
             raise ValueError(f"nonpositive limit variance sigma^2={s2}")
         scale = 1.0 / (math.sqrt(s2) * math.sqrt(m))
-    return kern * scale
+    return Kernel._wrap(GridSpec(float(m), m), cfg.n, raw * scale)
 
 
 def gap_fast(cfg: BMConfig, m: int) -> float:

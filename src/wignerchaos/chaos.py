@@ -24,6 +24,8 @@ from .grid_kernel import (
     Kernel,
     _add_into,
     _require_int,
+    _require_order,
+    _require_unit_kernel,
     adjoint as kernel_adjoint,
     constant_kernel,
     contract,
@@ -31,7 +33,6 @@ from .grid_kernel import (
     is_mirror_symmetric,
     kernel_from_json,
     kernel_to_json,
-    norm,
 )
 
 __all__ = [
@@ -180,6 +181,9 @@ class _Expansion:
         coeffs = {}
         for text, record in kernels.items():
             key = tuple(int(part) for part in str(text).split(","))
+            # only the text _to_json writes: int() also reads " 1", "+1", "01" and "0_0"
+            if ",".join(map(str, key)) != str(text):
+                raise ValueError(f"malformed element key {text!r}")
             key = key if len(key) > 1 else key[0]
             try:
                 coeffs[key] = cls._term(kernel_from_json(record), key)
@@ -216,9 +220,7 @@ class ChaosElement(_Expansion):
 
 def from_kernel(n: int, f: Kernel) -> ChaosElement:
     """The single integral I_n(f)."""
-    _require_int("n", n, 0)
-    if f.order != n:
-        raise ValueError(f"kernel order {f.order} != {n}")
+    _require_order(n, f, 0)
     return ChaosElement(f.grid, {n: f})
 
 
@@ -278,13 +280,6 @@ def moment(X: ChaosElement, k: int) -> complex:
     return trace(acc)
 
 
-def _require_gap_input(f: Kernel, tol: float) -> None:
-    if not is_mirror_symmetric(f, tol):
-        raise ValueError("fourth_moment_gap requires a mirror-symmetric kernel")
-    if abs(norm(f) - 1.0) > tol:
-        raise ValueError(f"fourth_moment_gap requires unit norm, got {norm(f)}")
-
-
 def _contraction_norms2(f: Kernel) -> list[float]:
     """||f contract_u f||^2 for u = 1, ..., n-1, unvalidated."""
     norms2 = []
@@ -297,13 +292,15 @@ def _contraction_norms2(f: Kernel) -> list[float]:
 def fourth_moment_gap(f: Kernel, tol: float = 1e-9) -> float:
     """sum_{u=1}^{n-1} ||f contract_u f||^2, which equals phi(F^4) - 2.
 
-    Requires f mirror-symmetric with unit norm (within tol); the identity
-    with the moment path is a theorem for such kernels and is exercised in
-    the tests rather than assumed here.  Each summand is a sum of squared
-    moduli, so the gap is never negative.
+    Requires f mirror-symmetric with unit norm (within tol), checked by
+    ``grid_kernel._require_unit_kernel``; the identity with the moment
+    path is a theorem for such kernels and is exercised in the tests
+    rather than assumed here.  Each summand is a sum of squared moduli, so
+    the gap is never negative, and it is a float even below order 2, where
+    there is no summand.
     """
-    _require_gap_input(f, tol)
-    return sum(_contraction_norms2(f))
+    _require_unit_kernel(f, tol, is_mirror_symmetric)
+    return sum(_contraction_norms2(f), 0.0)
 
 
 # ---------------------------------------------------------------------------

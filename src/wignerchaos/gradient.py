@@ -40,11 +40,7 @@ import numpy as np
 
 from . import bounds
 from .bichaos import BiChaosElement
-from .chaos import (
-    ChaosElement,
-    _contraction_norms2,
-    _require_gap_input,
-)
+from .chaos import ChaosElement, _contraction_norms2
 from .grid_kernel import (
     Kernel,
     SplitKernel,
@@ -52,10 +48,12 @@ from .grid_kernel import (
     _require_capacity,
     _require_finite,
     _require_int,
+    _require_order,
+    _require_unit_kernel,
     _window_matrix,
     adjoint_split,
+    is_mirror_symmetric,
     is_symmetric,
-    norm,
     slice_kernel,
 )
 
@@ -77,10 +75,9 @@ def gradient(n: int, f: Kernel, s: int) -> BiChaosElement:
     The paper's free gradient, by its definition.  The library folds the
     cell sum of Q into one more contracted pair instead; the tests build Q
     from this function as its oracle, and the benchmark's tracer wraps it.
+    Needs n >= 1 and f of order n.
     """
-    _require_int("n", n, 1)
-    if f.order != n:
-        raise ValueError("gradient needs f of order n >= 1")
+    _require_order(n, f, 1)
     slices = (slice_kernel(f, k, s) for k in range(1, n + 1))
     return BiChaosElement._sum_by_key(f.grid, slices)
 
@@ -110,14 +107,13 @@ def _quadratic_form_slots(n: int, f: Kernel):
     the current left factor, the n adjoint right factors and the window
     matrices of one q are alive while a slot is built.
 
-    Every slot has order at most 2(n-1), so one cap check, made before any
-    factor is built, covers them all.  The arrays are not checked here: the
-    caller checks each slot sum once, and a non-finite term leaves the sum
-    non-finite, since inf and nan are absorbing under addition.
+    n >= 1 and the order of f are checked first.  Every slot has order at
+    most 2(n-1), so one cap check, made before any factor is built, covers
+    them all.  The arrays are not checked here: the caller checks each slot
+    sum once, and a non-finite term leaves the sum non-finite, since inf
+    and nan are absorbing under addition.
     """
-    _require_int("n", n, 1)
-    if f.order != n:
-        raise ValueError("gradient_quadratic_form needs f of order n >= 1")
+    _require_order(n, f, 1)
     cells = f.grid.cells
     _require_capacity(cells, 2 * (n - 1))
     rights = [adjoint_split(SplitKernel(f, (j, n - j))) for j in range(1, n + 1)]
@@ -235,14 +231,11 @@ def closed_form_lhs(n: int, f: Kernel, tol: float = 1e-9) -> float:
     identical tensors.  For n = 2 they are (a matrix product of symmetric
     matrices equals its transpose) and the bound is an equality; for
     n >= 3 the arrangements differ and it is strict on generic input.
+    The order of f, its full symmetry and its unit norm (within tol) are
+    checked before any contraction.
     """
-    _require_int("n", n, 1)
-    if f.order != n:
-        raise ValueError("closed_form_lhs needs f of order n")
-    if not is_symmetric(f, tol):
-        raise ValueError("closed_form_lhs requires a fully symmetric kernel")
-    if abs(norm(f) - 1.0) > tol:
-        raise ValueError("closed_form_lhs requires unit norm")
+    _require_order(n, f, 1)
+    _require_unit_kernel(f, tol, is_symmetric)
     return _closed_form(n, _contraction_norms2(f))
 
 
@@ -268,13 +261,15 @@ class BoundReport:
 def bound_report(n: int, f: Kernel, tol: float = 1e-9) -> BoundReport:
     """Assemble gap, both lhs paths, constants and distance bounds for f.
 
-    f must be mirror-symmetric with unit norm (the gap's precondition);
-    the closed form is filled in only when f is fully symmetric, and
-    bound_satisfied records lhs <= c_n * gap + 1e-9 (which is a theorem
-    for fully symmetric f and can legitimately fail otherwise).
+    n must be at least 2 (C_n needs it) and f of order n, mirror-symmetric
+    with unit norm (the gap's precondition); all of it is checked before
+    any contraction.  The closed form is filled in only when f is fully
+    symmetric, and bound_satisfied records lhs <= c_n * gap + 1e-9 (which
+    is a theorem for fully symmetric f and can legitimately fail
+    otherwise).
     """
-    _require_int("n", n, 2)  # before any contraction; C_n needs n >= 2
-    _require_gap_input(f, tol)
+    _require_order(n, f, 2)
+    _require_unit_kernel(f, tol, is_mirror_symmetric)
     norms2 = _contraction_norms2(f)
     gap = sum(norms2)
     lhs = main_bound_lhs(n, f)

@@ -130,6 +130,17 @@ def _require_int(name: str, value, low, high=None) -> None:
         raise ValueError(f"{name}={value} out of range [{low}, {high}]")
 
 
+def _require_order(n, f: Kernel, low) -> None:
+    """Raise ValueError unless n is an integer >= low and f has order n.
+
+    The one order check of the functions that take an order n and a
+    kernel f of that order; n is checked by ``_require_int`` first.
+    """
+    _require_int("n", n, low)
+    if f.order != n:
+        raise ValueError(f"n={n} needs a kernel of order {n}, got order {f.order}")
+
+
 def _require_tolerance(name: str, value) -> None:
     # nan would make every comparison with it False, and so every test pass
     if not 0 <= value < math.inf:
@@ -178,7 +189,11 @@ class Kernel:
         The choice follows the input's dtype, never its values: a complex
         array with zero imaginary parts stays complex.
 
-    The data array is copied and frozen; kernels are immutable values.
+    A kernel has two doors.  This constructor is the door for the caller's
+    data: it checks the order, the cap, the dtype and the size, and copies
+    the data.  ``_wrap`` is the door for arrays the package built, and
+    copies nothing.  Both end in ``_set``, which checks that the entries are
+    finite and freezes the array; kernels are immutable values.
     """
 
     __slots__ = ("grid", "order", "data")
@@ -192,36 +207,37 @@ class Kernel:
 
         The caller guarantees a C-contiguous float64 or complex128 array of
         shape (N,)*order that nothing else references (a 0-d result may come
-        as a numpy scalar).  Only the entries are checked, because arithmetic
-        on finite input can still overflow; the array is then frozen.
+        as a numpy scalar), and has checked order and cap before allocating
+        it.  Only the entries are checked, because arithmetic on finite
+        input can still overflow.
         """
-        arr = np.asarray(data)
-        _require_finite(arr)
-        arr.setflags(write=False)
         self = object.__new__(cls)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "data", arr)
+        self._set(grid, order, np.asarray(data))
         return self
 
     def __init__(self, grid: GridSpec, order: int, data):
+        if hasattr(self, "data"):
+            raise AttributeError("Kernel is immutable")
         _require_int("order", order, 0)
         _require_capacity(grid.cells, order)
         arr = np.asarray(data)
         dtype = np.float64 if arr.dtype.kind in "biuf" else np.complex128
         arr = np.array(arr, dtype=dtype, order="C")
-        shape = (grid.cells,) * order
         if arr.size != grid.cells**order:
             raise ValueError(
                 f"data has {arr.size} entries, expected {grid.cells**order} "
                 f"for order {order} on {grid.cells} cells"
             )
-        arr = arr.reshape(shape)
+        self._set(grid, order, arr.reshape((grid.cells,) * order))
+
+    def _set(self, grid: GridSpec, order: int, arr: np.ndarray) -> None:
+        # the shared tail of both doors: finite entries, frozen, then set
+        # past __setattr__, whose check would cost more than the rest
         _require_finite(arr)
         arr.setflags(write=False)
-        self.grid = grid
-        self.order = order
-        self.data = arr
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "data", arr)
 
     def __setattr__(self, name, value):
         if hasattr(self, "data"):
@@ -318,7 +334,7 @@ def _check_same_space(f: Kernel, g: Kernel) -> None:
 def zero_kernel(grid: GridSpec, order: int) -> Kernel:
     _require_int("order", order, 0)
     _require_capacity(grid.cells, order)
-    return Kernel(grid, order, np.zeros((grid.cells,) * order))
+    return Kernel._wrap(grid, order, np.zeros((grid.cells,) * order))
 
 def constant_kernel(grid: GridSpec, value: complex) -> Kernel:
     """Order-0 kernel (a scalar): float64 for a real value, else complex128."""
@@ -330,7 +346,7 @@ def cell_indicator(grid: GridSpec, cell: int, normalized: bool = False) -> Kerne
     _require_capacity(grid.cells, 1)
     data = np.zeros(grid.cells)
     data[cell] = 1.0 / math.sqrt(grid.cell_width) if normalized else 1.0
-    return Kernel(grid, 1, data)
+    return Kernel._wrap(grid, 1, data)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +354,11 @@ def cell_indicator(grid: GridSpec, cell: int, normalized: bool = False) -> Kerne
 # ---------------------------------------------------------------------------
 
 def adjoint(f: Kernel) -> Kernel:
-    """Adjoint kernel f*(t_1, ..., t_n) = conj f(t_n, ..., t_1)."""
-    rev = tuple(reversed(range(f.order)))
-    return Kernel._wrap(f.grid, f.order, np.conj(np.transpose(f.data, rev), order="C"))
+    """Adjoint kernel f*(t_1, ..., t_n) = conj f(t_n, ..., t_1).
+
+    The blockwise adjoint of f read as one leg, the split (n, 0).
+    """
+    return adjoint_split(SplitKernel(f, (f.order, 0))).kernel
 
 
 def adjoint_split(w: SplitKernel) -> SplitKernel:
@@ -421,12 +439,12 @@ def symmetrize(f: Kernel) -> Kernel:
         warnings.warn("symmetrize: dropping nonzero imaginary part", stacklevel=2)
     data = data.real
     if f.order < 2:
-        return Kernel(f.grid, f.order, data)
+        return Kernel._wrap(f.grid, f.order, data.copy())
     acc = np.zeros(data.shape)
     for perm in permutations(range(f.order)):
         acc += np.transpose(data, perm)
     acc /= math.factorial(f.order)
-    return Kernel(f.grid, f.order, acc)
+    return Kernel._wrap(f.grid, f.order, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +461,22 @@ def inner(f: Kernel, g: Kernel) -> complex:
 def norm(f: Kernel) -> float:
     val = inner(f, f).real
     return math.sqrt(val) if val > 0 else 0.0
+
+
+def _require_unit_kernel(f: Kernel, tol: float, symmetry) -> None:
+    """Raise ValueError unless symmetry(f, tol) holds and |norm(f) - 1| <= tol.
+
+    The one unit-kernel check of the fourth-moment API: the gap and the
+    bound report pass ``is_mirror_symmetric``, the closed form passes
+    ``is_symmetric``.  Neither test implies the other within a tolerance,
+    so a caller that needs both runs both.  The symmetry test checks tol
+    first, so the norm is compared with a valid tolerance.
+    """
+    if not symmetry(f, tol):
+        raise ValueError(f"kernel fails {symmetry.__name__} at tol={tol}")
+    size = norm(f)
+    if abs(size - 1.0) > tol:
+        raise ValueError(f"kernel must have unit norm within tol={tol}, got {size}")
 
 
 def contract(f: Kernel, g: Kernel, p: int) -> Kernel:
@@ -640,10 +674,16 @@ def kernel_from_json(obj: dict) -> Kernel:
     try:
         grid = GridSpec(obj["total_length"], obj["cells"])
         order = obj["order"]
-        re = np.array(obj["re"], dtype=np.float64)
-        im = np.array(obj["im"], dtype=np.float64)
+        re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed kernel record: {exc!r}") from None
+    for name, part in (("re", re), ("im", im)):
+        # no forced dtype, so strings, bools and nested lists show as such
+        if part.ndim != 1 or part.dtype.kind not in "iuf":
+            raise ValueError(
+                f"{name} must be a flat list of numbers, got {part.dtype} "
+                f"entries of shape {part.shape}"
+            )
     if re.shape != im.shape:
         raise ValueError(f"re has shape {re.shape} but im has shape {im.shape}")
     data = re.astype(np.complex128)

@@ -203,7 +203,7 @@ def test_json_roundtrip_of_zero_element_and_older_records():
         bichaos_from_json({})
 
 
-@pytest.mark.parametrize("key", ["3", "1,1,0", "x,2", "1.0,1"])
+@pytest.mark.parametrize("key", ["3", "1,1,0", "x,2", "1.0,1", "01,1", "1, 1", "1,+1"])
 def test_json_rejects_keys_that_are_not_integer_pairs(key):
     record = bichaos_to_json(rand_bichaos(16, splits=((1, 1),)))
     record["kernels"] = {key: record["kernels"]["1,1"]}

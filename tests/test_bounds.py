@@ -162,3 +162,17 @@ def test_semicircle_moments():
     for k in (2, 4, 6):
         numeric = float(np.trapezoid(x**k * dens, x))
         assert semicircle_moment(t, k) == pytest.approx(numeric, rel=1e-4)
+
+
+def test_nan_is_refused_and_an_infinite_gap_or_lhs_passes():
+    # every comparison with nan is False, so `t <= 0` and `gap < 0` let it through
+    for t in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^t must be > 0 and finite"):
+            semicircle_moment(t, 2)
+    with pytest.raises(ValueError, match="^gap must be >= 0"):
+        dc2_bound_from_gap(2, math.nan)
+    with pytest.raises(ValueError, match="^lhs must be >= 0"):
+        dc2_bound_from_lhs(math.nan)
+    # main_bound_lhs returns inf on overflow by design, and the bounds follow it
+    assert dc2_bound_from_gap(2, math.inf) == math.inf
+    assert dc2_bound_from_lhs(math.inf) == math.inf

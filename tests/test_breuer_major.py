@@ -181,10 +181,14 @@ def test_vm_kernel_asymptotic_normalization_variance():
     assert errs[-1] < 0.02
 
 
-def test_vm_kernel_requires_listed_m():
-    cfg = BMConfig(n=2, H=0.3, m_list=(8,))
-    with pytest.raises(ValueError):
-        vm_kernel(cfg, 16)
+def test_vm_kernel_accepts_m_outside_m_list():
+    # like gap_fast, vm_kernel takes any sample size, listed or not
+    for n, H in ((2, 0.3), (2, 0.7), (3, 0.6)):
+        cfg = BMConfig(n=n, H=H, m_list=(4, 8))
+        for m in (3, 5, 9):
+            assert fourth_moment_gap(vm_kernel(cfg, m)) == pytest.approx(
+                gap_fast(cfg, m), rel=0.0, abs=1e-12
+            )
 
 
 def test_gap_fast_matches_dense():

@@ -364,3 +364,12 @@ def test_json_roundtrip_of_zero_element_and_older_records():
 def test_json_rejects_malformed_element_records(record):
     with pytest.raises(ValueError):
         chaos_from_json(record)
+
+
+@pytest.mark.parametrize("key, order", [("0_0", 0), (" 1", 1), ("+1", 1), ("01", 1)])
+def test_json_rejects_keys_int_reads_but_records_never_write(key, order):
+    # int() reads each of these as the order; only str(order) is a key
+    record = chaos_to_json(rand_element(98))
+    record["kernels"] = {key: record["kernels"][str(order)]}
+    with pytest.raises(ValueError, match="malformed element key"):
+        chaos_from_json(record)

@@ -17,7 +17,7 @@ import pytest
 
 from wignerchaos.bichaos import adjoint, bitrace, norm2, one_tensor_one, sharp_multiply
 from wignerchaos.bounds import C, P
-from wignerchaos.chaos import fourth_moment_gap
+from wignerchaos.chaos import fourth_moment_gap, from_kernel
 from wignerchaos.gradient import (
     bound_report,
     closed_form_lhs,
@@ -404,6 +404,9 @@ def test_streamed_lhs_checks_entries_only_when_a_square_is_not_finite(monkeypatc
 
 def test_lhs_and_report_floats_are_builtin_floats():
     # numpy floats would print as np.float64(...) through repr
+    # below order 2 the gap has no summand, and is still the float 0.0
+    gap = fourth_moment_gap(cell_indicator(GridSpec(2.0, 3), 1, normalized=True))
+    assert type(gap) is float and gap == 0.0
     for n, f in (
         (3, random_symmetric_unit_kernel(GridSpec(1.0, 3), 3, seed=31, index=1)),
         (3, counterexample_kernel(4)),
@@ -468,6 +471,49 @@ def test_bound_report_checks_n_before_any_contraction(monkeypatch):
     for n in (1, 0, -1):
         with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
             bound_report(n, f)
+
+
+def test_bound_report_checks_the_kernel_order_before_any_contraction(monkeypatch):
+    f = random_symmetric_unit_kernel(GridSpec(1.0, 2), 4, seed=31, index=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("contracted before the order was checked")
+
+    monkeypatch.setattr(import_module("wignerchaos.chaos"), "contract", refuse)
+    monkeypatch.setattr(import_module("wignerchaos.gradient"), "_bicontract_array", refuse)
+    # this used to contract the order-4 kernel three times before failing
+    with pytest.raises(ValueError, match="^n=3 needs a kernel of order 3, got order 4$"):
+        bound_report(3, f)
+
+
+def test_every_order_check_gives_one_message():
+    f = random_symmetric_unit_kernel(GridSpec(1.0, 2), 4, seed=31, index=0)
+    message = "^n=3 needs a kernel of order 3, got order 4$"
+    for call in (
+        lambda: from_kernel(3, f),
+        lambda: gradient(3, f, 0),
+        lambda: gradient_quadratic_form(3, f),
+        lambda: main_bound_lhs(3, f),
+        lambda: closed_form_lhs(3, f),
+        lambda: bound_report(3, f),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_unit_kernel_gate_names_the_failed_test():
+    # the gap and the report need mirror symmetry, the closed form full symmetry
+    mirror = counterexample_kernel(3)
+    with pytest.raises(ValueError, match="^kernel fails is_symmetric at tol=1e-09$"):
+        closed_form_lhs(3, mirror)
+    generic = Kernel(GridSpec(1.0, 2), 2, np.array([[0.0, 1.0], [0.0, 0.0]]) * math.sqrt(2.0))
+    for call in (lambda: fourth_moment_gap(generic), lambda: bound_report(2, generic)):
+        with pytest.raises(ValueError, match="^kernel fails is_mirror_symmetric at tol=1e-09$"):
+            call()
+    twice = mirror * 2.0
+    for call in (lambda: fourth_moment_gap(twice), lambda: bound_report(3, twice)):
+        with pytest.raises(ValueError, match="^kernel must have unit norm within tol=1e-09, got "):
+            call()
 
 
 @pytest.mark.parametrize("T", [1e-8, 1e-4, 1.0, 1e4, 1e8])

@@ -628,6 +628,27 @@ def test_json_rejects_malformed_records():
             kernel_from_json(record)
 
 
+@pytest.mark.parametrize("key", ["re", "im"])
+@pytest.mark.parametrize(
+    "entries",
+    [
+        lambda values: [str(v) for v in values],  # a forced float64 read "1.5"
+        lambda values: [v > 0 for v in values],
+        lambda values: [[v] for v in values],  # nested, of the right size
+    ],
+    ids=["strings", "bools", "nested"],
+)
+def test_json_rejects_entries_that_are_not_a_flat_list_of_numbers(key, entries):
+    good = kernel_to_json(rand(2, cells=2, seed=32))
+    with pytest.raises(ValueError, match=f"^{key} must be a flat list of numbers"):
+        kernel_from_json({**good, key: entries(good[key])})
+
+
+def test_json_reads_integer_entries():
+    record = {"total_length": 1.0, "cells": 2, "order": 1, "re": [1, -2], "im": [0, 3]}
+    assert np.array_equal(kernel_from_json(record).data, [1.0, -2.0 + 3.0j])
+
+
 def test_json_rejects_huge_order_before_allocating():
     for cells, order in ((2, 2**62), (10**30, 2), (1, 2**62)):
         doc = {

@@ -3,9 +3,12 @@
 ``perfbench/tracing.py`` wraps module bindings by name, so a deleted or
 renamed function breaks ``perfbench/run.py --trace 1`` only when the
 benchmark runs.  These tests catch that, a stale ``__all__`` or
-re-export, and a benchmark item whose checks fail, in the tier-1 suite.  The last test holds every public integer
-parameter, and every integer in the keys of a public dict parameter, to the
-package's one integer check.
+re-export, and a benchmark item whose checks fail, in the tier-1 suite.  The
+integer test holds every public integer parameter, and every integer in the
+keys of a public dict parameter, to the package's one integer check.  The
+last two keep the copying constructor ``Kernel(...)`` at the package's
+boundary, and check that what the package builds, which enters through
+``_wrap``, is the kernel that constructor would have made.
 """
 
 import ast
@@ -21,10 +24,18 @@ import numpy as np
 import pytest
 
 import wignerchaos
-from wignerchaos.breuer_major import BMConfig
+from wignerchaos.breuer_major import NORMALIZATIONS, BMConfig, increment_kernels, vm_kernel
 from wignerchaos.chaos import from_kernel
-from wignerchaos.grid_kernel import GridSpec, SplitKernel, cell_indicator
-from wignerchaos.workloads import random_symmetric_unit_kernel
+from wignerchaos.grid_kernel import (
+    GridSpec,
+    Kernel,
+    SplitKernel,
+    adjoint,
+    cell_indicator,
+    symmetrize,
+    zero_kernel,
+)
+from wignerchaos.workloads import counterexample_kernel, random_symmetric_unit_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -216,3 +227,60 @@ def test_every_public_integer_parameter_is_checked():
             for value in with_bad_integer(kwargs[param], bad):
                 with pytest.raises(ValueError, match=message):
                     fn(**{**kwargs, param: value})
+
+
+# the boundary functions that turn the caller's data into a kernel
+KERNEL_DOORS = {"constant_kernel", "kernel_from_bytes", "kernel_from_json"}
+
+
+def kernel_calls(tree):
+    """The Kernel(...) calls under an AST node, by name or as module.Kernel."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Kernel"
+    ]
+
+
+def test_kernel_constructor_is_called_only_at_the_boundary():
+    stray, doors = [], set()
+    for path in sorted((ROOT / "src" / "wignerchaos").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name in KERNEL_DOORS:
+                calls = kernel_calls(func)
+                allowed |= set(map(id, calls))
+                doors |= {func.name} if calls else set()
+        stray += [(path.name, c.lineno) for c in kernel_calls(tree) if id(c) not in allowed]
+    assert not stray, "package-built arrays enter through Kernel._wrap"
+    assert doors == KERNEL_DOORS
+
+
+def test_wrapped_results_equal_the_public_constructor_on_the_same_array():
+    # the dtype, shape, contiguity and frozen state Kernel(...) would give,
+    # and no array shared with an input
+    grid = GridSpec(1.5, 3)
+    rng = np.random.default_rng(5)
+    made = []  # (kernel, input array it must not share)
+    for order in range(4):
+        x = rng.standard_normal((3,) * order)
+        z = Kernel(grid, order, x + 1j * rng.standard_normal((3,) * order))
+        real = Kernel(grid, order, x)
+        with pytest.warns(UserWarning, match="dropping nonzero imaginary part"):
+            made.append((symmetrize(z), z.data))
+        made += [(zero_kernel(grid, order), None), (symmetrize(real), real.data)]
+        made += [(adjoint(z), z.data), (adjoint(real), real.data)]
+    made += [(cell_indicator(grid, 1), None), (cell_indicator(grid, 2, normalized=True), None)]
+    for normalization in NORMALIZATIONS:
+        cfg = BMConfig(n=3, H=0.6, m_list=(4,), truncation=100, normalization=normalization)
+        made.append((vm_kernel(cfg, 5), None))
+    rows = increment_kernels(0.3, 4)
+    made += [(f, rows[0].data if i else None) for i, f in enumerate(rows)]
+    made += [(random_symmetric_unit_kernel(grid, 3, 1, 2), None), (counterexample_kernel(3), None)]
+    for f, source in made:
+        ref = Kernel(f.grid, f.order, f.data)
+        assert f.data.dtype == ref.data.dtype and f.data.shape == ref.data.shape
+        assert np.array_equal(f.data, ref.data)
+        assert f.data.flags.c_contiguous and not f.data.flags.writeable
+        assert source is None or not np.shares_memory(f.data, source)
