@@ -71,6 +71,11 @@ def u0(n: int) -> float:
     ) / 5.0
 
 
+def _bracket(n: int, u: float) -> tuple[int, int]:
+    """floor(u) and ceil(u), each clamped into [1, n-1]."""
+    return min(max(math.floor(u), 1), n - 1), min(max(math.ceil(u), 1), n - 1)
+
+
 @dataclass(frozen=True)
 class ConstantsRow:
     n: int
@@ -100,8 +105,7 @@ def _constants_row(n: int) -> ConstantsRow:
     argmax_u = max(values, key=lambda u: (values[u], -u))
     p_max = values[argmax_u]
     star = u0(n)
-    lo = min(max(math.floor(star), 1), n - 1)
-    hi = min(max(math.ceil(star), 1), n - 1)
+    lo, hi = _bracket(n, star)
     floor_ceil = max(P(n, lo), P(n, hi)) / n**2
     return ConstantsRow(
         n=n,

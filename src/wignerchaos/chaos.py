@@ -66,6 +66,9 @@ class _Expansion:
     """
 
     __slots__ = ("grid", "coeffs")
+    # numpy operands defer to the element's operators, so an array factor on
+    # either side raises instead of building an object array of elements
+    __array_ufunc__ = None
 
     def __init__(self, grid: GridSpec, coeffs: dict):
         pruned = {}

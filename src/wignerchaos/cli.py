@@ -7,6 +7,11 @@ flags win, and both go through the same per-key converter), outputs carry
 a schema header with the effective configuration, and the exit status is
 1 exactly when one of the asserted identities fails beyond tolerance and
 2 on a bad flag, config value or parameter.
+
+Each runner returns ``(fields, rows, summary, failures)``, its rows as
+tuples in ``fields`` order; ``main`` names their columns once, and both
+writers read the named rows.  The effective configuration is one dict,
+which JSON writes as it is and CSV echoes sorted.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +33,6 @@ from .grid_kernel import GridSpec, SplitKernel, adjoint_split, bicontract, inner
 from .workloads import counterexample_kernel, random_symmetric_unit_kernel
 
 __all__ = [
-    "RunConfig",
     "main",
     "run_bound_check",
     "run_breuer_major",
@@ -38,21 +41,6 @@ __all__ = [
 ]
 
 _SCHEMA_PREFIX = "wignerchaos"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective, fully resolved parameters of one CLI run."""
-
-    subcommand: str
-    format: str
-    out: str | None
-    tol: float
-    params: dict
-
-    def echo(self) -> str:
-        items = {"format": self.format, "tol": self.tol, **self.params}
-        return " ".join(f"{k}={_fmt(v)}" for k, v in sorted(items.items()))
 
 
 def _fmt(v) -> str:
@@ -69,7 +57,7 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (fieldnames, rows, summary, failures)
+# runners: each returns (fields, rows, summary, failures), rows as tuples
 # ---------------------------------------------------------------------------
 
 def run_constants(n_max: int, tol: float):
@@ -78,17 +66,9 @@ def run_constants(n_max: int, tol: float):
     for n in range(2, n_max + 1):
         row = bounds.C(n)
         rows.append(
-            {
-                "n": n,
-                "u0": row.u0,
-                "argmax_u": row.argmax_u,
-                "P": row.p_at_argmax,
-                "C_n": row.c_n,
-                "C_n_floor_ceil": row.floor_ceil_c_n,
-            }
+            (n, row.u0, row.argmax_u, row.p_at_argmax, row.c_n, row.floor_ceil_c_n)
         )
-        lo = min(max(math.floor(row.u0), 1), n - 1)
-        hi = min(max(math.ceil(row.u0), 1), n - 1)
+        lo, hi = bounds._bracket(n, row.u0)
         if row.argmax_u not in (lo, hi):
             failures.append(
                 f"constants: n={n} integer argmax {row.argmax_u} not in "
@@ -121,15 +101,7 @@ def run_counterexample(N: list[int], tol: float):
             terms[term.split] = term
         summand = norm2(BiChaosElement(f.grid, terms))
         lhs = main_bound_lhs(3, f)
-        rows.append(
-            {
-                "N": size,
-                "norm_sq": norm_sq,
-                "gap": gap,
-                "summand_norm2": summand,
-                "lhs": lhs,
-            }
-        )
+        rows.append((size, norm_sq, gap, summand, lhs))
         if abs(norm_sq - 1.0) > tol:
             failures.append(f"counterexample: N={size} ||f||^2 = {norm_sq!r} != 1")
         if abs(gap * size - 2.0) > tol:
@@ -155,14 +127,7 @@ def run_bound_check(n: int, grid: int, trials: int, seed: int, tol: float):
         rep = bound_report(n, f, tol)
         ratio = rep.lhs / (rep.c_n * rep.gap) if rep.gap > 1e-13 else math.nan
         rows.append(
-            {
-                "trial": t,
-                "gap": rep.gap,
-                "lhs": rep.lhs,
-                "lhs_closed_form": rep.lhs_closed_form,
-                "ratio": ratio,
-                "bound_satisfied": rep.bound_satisfied,
-            }
+            (t, rep.gap, rep.lhs, rep.lhs_closed_form, ratio, rep.bound_satisfied)
         )
         if not rep.bound_satisfied:
             failures.append(
@@ -204,17 +169,8 @@ def run_breuer_major(
     )
     result = rate_fit(cfg)
     fields = ["m", "gap", "sqrt_gap_bound", "slope_running", "alpha_theory"]
-    rows = []
-    for i, size in enumerate(cfg.m_list):
-        rows.append(
-            {
-                "m": size,
-                "gap": result.gaps[i],
-                "sqrt_gap_bound": result.dc2_from_gap[i],
-                "slope_running": result.slope_running[i],
-                "alpha_theory": result.alpha_theory,
-            }
-        )
+    columns = (cfg.m_list, result.gaps, result.dc2_from_gap, result.slope_running)
+    rows = [(*row, result.alpha_theory) for row in zip(*columns, strict=True)]
     summary = {
         "slope": result.slope,
         "two_alpha": result.two_alpha,
@@ -230,9 +186,12 @@ def run_breuer_major(
 # output
 # ---------------------------------------------------------------------------
 
-def _write_csv(fh, schema: str, cfg: RunConfig, fields, rows, summary):
+def _write_csv(fh, schema: str, config: dict, fields, rows, summary):
+    echo = " ".join(
+        f"{k}={_fmt(v)}" for k, v in sorted(config.items()) if k != "subcommand"
+    )
     fh.write(f"# schema={schema}\n")
-    fh.write(f"# config: subcommand={cfg.subcommand} {cfg.echo()}\n")
+    fh.write(f"# config: subcommand={config['subcommand']} {echo}\n")
     fh.write(",".join(fields) + "\n")
     for row in rows:
         fh.write(",".join(_fmt(row[k]) for k in fields) + "\n")
@@ -240,15 +199,10 @@ def _write_csv(fh, schema: str, cfg: RunConfig, fields, rows, summary):
         fh.write(f"# {k}={_fmt(summary[k])}\n")
 
 
-def _write_json(fh, schema: str, cfg: RunConfig, fields, rows, summary):
+def _write_json(fh, schema: str, config: dict, fields, rows, summary):
     doc = {
         "schema": schema,
-        "config": {
-            "subcommand": cfg.subcommand,
-            "format": cfg.format,
-            "tol": cfg.tol,
-            **cfg.params,
-        },
+        "config": config,
         "fields": fields,
         "rows": rows,
         "summary": summary,
@@ -256,14 +210,14 @@ def _write_json(fh, schema: str, cfg: RunConfig, fields, rows, summary):
     fh.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=True) + "\n")
 
 
-def _emit(cfg: RunConfig, fields, rows, summary) -> None:
-    schema = f"{_SCHEMA_PREFIX}.{cfg.subcommand}.v1"
-    write = _write_csv if cfg.format == "csv" else _write_json
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            write(fh, schema, cfg, fields, rows, summary)
+def _emit(config: dict, out: str | None, fields, rows, summary) -> None:
+    schema = f"{_SCHEMA_PREFIX}.{config['subcommand']}.v1"
+    write = _write_csv if config["format"] == "csv" else _write_json
+    if out:
+        with open(out, "w") as fh:
+            write(fh, schema, config, fields, rows, summary)
     else:
-        write(sys.stdout, schema, cfg, fields, rows, summary)
+        write(sys.stdout, schema, config, fields, rows, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +357,20 @@ def main(argv=None) -> int:
 
     runner, _, defaults = _SUBCOMMANDS[args.subcommand]
     params = effective(defaults)
-    cfg = RunConfig(args.subcommand, params=params, **effective(_GLOBAL_DEFAULTS))
+    settings = effective(_GLOBAL_DEFAULTS)
+    out = settings.pop("out")
+    config = {"subcommand": args.subcommand, **settings, **params}
     try:
-        fields, rows, summary, failures = runner(**params, tol=cfg.tol)
+        fields, rows, summary, failures = runner(**params, tol=config["tol"])
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # a row of the wrong length is a defect of its runner: it raises here,
+    # before anything is written
+    rows = [dict(zip(fields, row, strict=True)) for row in rows]
 
     try:
-        _emit(cfg, fields, rows, summary)
+        _emit(config, out, fields, rows, summary)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left: send the interpreter's final flush to devnull

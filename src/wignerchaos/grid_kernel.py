@@ -232,7 +232,7 @@ class Kernel:
 
     def _set(self, grid: GridSpec, order: int, arr: np.ndarray) -> None:
         # the shared tail of both doors: finite entries, frozen, then set
-        # past __setattr__, whose check would cost more than the rest
+        # past __setattr__, which refuses every assignment
         _require_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -240,9 +240,11 @@ class Kernel:
         object.__setattr__(self, "data", arr)
 
     def __setattr__(self, name, value):
-        if hasattr(self, "data"):
-            raise AttributeError("Kernel is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("Kernel is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return Kernel, (self.grid, self.order, self.data)
 
     def __repr__(self):
         return (
@@ -375,8 +377,6 @@ def adjoint_split(w: SplitKernel) -> SplitKernel:
 
 def max_abs_diff(f: Kernel, g: Kernel) -> float:
     _check_same_space(f, g)
-    if f.order == 0:
-        return abs(complex(f.data) - complex(g.data))
     return float(np.max(np.abs(f.data - g.data)))
 
 
@@ -684,6 +684,9 @@ def kernel_from_json(obj: dict) -> Kernel:
                 f"{name} must be a flat list of numbers, got {part.dtype} "
                 f"entries of shape {part.shape}"
             )
+        # a bool among numbers is coerced to a number, so look for it
+        if any(isinstance(x, (bool, np.bool_)) for x in obj[name]):
+            raise ValueError(f"{name} must be a flat list of numbers, got a bool entry")
     if re.shape != im.shape:
         raise ValueError(f"re has shape {re.shape} but im has shape {im.shape}")
     data = re.astype(np.complex128)

@@ -126,7 +126,19 @@ def test_scalar_arithmetic():
     X = rand_bichaos(11)
     Y = 2.0 * X - X
     assert biclose(X, Y, 1e-12)
+    assert biclose(X, X * 2.0 - X, 1e-12)
     assert max_entry(X + (-X)) == 0.0
+
+
+def test_scalar_arithmetic_refuses_arrays():
+    # an array factor must raise, not broadcast into an object array of elements
+    X = rand_bichaos(12)
+    for factor in (np.ones(2), np.array([1.0, 2.0])):
+        with pytest.raises(TypeError):
+            factor * X
+        with pytest.raises(TypeError):
+            X * factor
+    assert biclose(np.float64(0.5) * X, 0.5 * X, 0.0)
 
 
 def test_split_sums_follow_numpy_promotion():

@@ -110,6 +110,18 @@ def test_one_and_scalars():
     assert close(multiply(E, X), X)
     assert close(multiply(X, E), X)
     assert close(2.0 * X - X, X)
+    assert close(X * 2.0 - X, X)
+
+
+def test_scalar_arithmetic_refuses_arrays():
+    # an array factor must raise, not broadcast into an object array of elements
+    X = rand_element(1)
+    for factor in (np.ones(2), np.array([1.0, 2.0])):
+        with pytest.raises(TypeError):
+            factor * X
+        with pytest.raises(TypeError):
+            X * factor
+    assert close(np.float64(0.5) * X, 0.5 * X, 0.0)
 
 
 def test_product_formula_single_orders():

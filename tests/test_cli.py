@@ -9,6 +9,7 @@ import pytest
 
 import wignerchaos
 from wignerchaos.bichaos import norm2
+from wignerchaos import cli
 from wignerchaos.cli import _fmt, main
 from wignerchaos.grid_kernel import (
     GridSpec,
@@ -40,6 +41,42 @@ def test_fmt_prints_numpy_floats_as_plain_floats():
     assert _fmt(0.1) == "0.1"
     assert _fmt(np.float64("inf")) == "inf"
     assert _fmt(True) == "True"
+
+
+TABLES = {
+    "constants": ("--n-max", "5"),
+    "counterexample": ("--N", "2,3"),
+    "bound-check": ("--n", "3", "--grid", "2", "--trials", "3"),
+    "breuer-major": ("--m", "16,32,64,128"),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli._SUBCOMMANDS))
+def test_csv_and_json_name_the_same_columns(capsys, subcommand):
+    argv = (subcommand, *TABLES[subcommand])
+    _, out, _ = run(capsys, "--format", "csv", *argv)
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    _, out, _ = run(capsys, "--format", "json", *argv)
+    doc = json.loads(out)
+    assert lines[0] == ",".join(doc["fields"])
+    assert len(lines) - 1 == len(doc["rows"]) > 0
+    for line, row in zip(lines[1:], doc["rows"]):
+        assert len(line.split(",")) == len(doc["fields"])
+        assert sorted(row) == sorted(doc["fields"])
+
+
+def test_a_row_of_the_wrong_length_raises_before_anything_is_written(monkeypatch, capsys):
+    runner, help_text, defaults = cli._SUBCOMMANDS["constants"]
+    for change in (lambda row: row[:-1], lambda row: (*row, 0.0)):
+        def changed_rows(**kwargs):
+            fields, rows, summary, failures = runner(**kwargs)
+            return fields, [change(row) for row in rows], summary, failures
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "constants", (changed_rows, help_text, defaults))
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError, match="zip"):
+                main(["--format", fmt, "constants", "--n-max", "4"])
+            assert capsys.readouterr().out == ""
 
 
 def test_counterexample_kernel_shape():

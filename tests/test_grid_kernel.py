@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import struct
 import tracemalloc
 from importlib import import_module
@@ -67,6 +69,20 @@ def test_kernel_construction_and_immutability():
         f.data[0, 0] = 1.0
     with pytest.raises(AttributeError):
         f.order = 5
+    # a second __init__ is refused before it sets anything
+    before = f.data
+    with pytest.raises(AttributeError):
+        f.__init__(GRID, 1, np.zeros(3))
+    assert f.data is before and f.order == 2
+    assert np.array_equal(f.data, rand(2).data)
+
+
+def test_copies_and_pickles_are_frozen_equal_kernels():
+    f = rand(2, seed=65)
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g.grid == f.grid and g.order == f.order
+        assert np.array_equal(g.data, f.data)
+        assert not g.data.flags.writeable
 
 
 def test_kernel_rejects_bad_shapes_and_values():
@@ -544,6 +560,9 @@ def test_max_abs_diff_and_close():
     h = f + 1e-3 * rand(2, seed=26)
     assert not kernels_close(f, h)
     assert max_abs_diff(f, h) == pytest.approx(1e-3 * np.abs(rand(2, seed=26).data).max())
+    # order 0 takes the same path on 0-d arrays
+    assert max_abs_diff(constant_kernel(GRID, 1.5), constant_kernel(GRID, -0.25)) == 1.75
+    assert max_abs_diff(Kernel(GRID, 0, 3 + 1j), Kernel(GRID, 0, 1j)) == 3.0
 
 
 @pytest.mark.parametrize("T", [1e-8, 1.0, 1e8, 1e14])
@@ -635,8 +654,10 @@ def test_json_rejects_malformed_records():
         lambda values: [str(v) for v in values],  # a forced float64 read "1.5"
         lambda values: [v > 0 for v in values],
         lambda values: [[v] for v in values],  # nested, of the right size
+        lambda values: values[:-1] + [True],  # a forced float64 read 1.0
+        lambda values: values[:-1] + [np.bool_(False)],
     ],
-    ids=["strings", "bools", "nested"],
+    ids=["strings", "bools", "nested", "one_bool", "one_numpy_bool"],
 )
 def test_json_rejects_entries_that_are_not_a_flat_list_of_numbers(key, entries):
     good = kernel_to_json(rand(2, cells=2, seed=32))
