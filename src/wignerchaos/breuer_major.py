@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bounds
-from .grid_kernel import GridSpec, Kernel, _require_capacity, _require_int
+from .grid_kernel import GridSpec, Kernel, _is_real, _require_capacity, _require_int
 
 __all__ = [
     "BMConfig",
@@ -130,7 +130,7 @@ def _require_summable(n: int, H: float) -> None:
 
 def _require_hurst(H: float) -> None:
     # nan fails the comparison too
-    if not 0.0 < H < 1.0:
+    if not (_is_real(H) and 0.0 < H < 1.0):
         raise ValueError("H must lie in (0, 1)")
 
 
@@ -334,7 +334,7 @@ def increment_kernels(H: float, m: int) -> list[Kernel]:
     """
     L = _cholesky_factor(H, m)
     grid = GridSpec(float(m), m)
-    return [Kernel._wrap(grid, 1, L[i].copy()) for i in range(m)]
+    return [Kernel._wrap(grid, L[i].copy()) for i in range(m)]
 
 
 def chebyshev_U(n: int, x: float) -> float:
@@ -376,7 +376,7 @@ def vm_kernel(cfg: BMConfig, m: int) -> Kernel:
         if s2 <= 0:
             raise ValueError(f"nonpositive limit variance sigma^2={s2}")
         scale = 1.0 / (math.sqrt(s2) * math.sqrt(m))
-    return Kernel._wrap(GridSpec(float(m), m), cfg.n, raw * scale)
+    return Kernel._wrap(GridSpec(float(m), m), raw * scale)
 
 
 def gap_fast(cfg: BMConfig, m: int) -> float:

@@ -110,8 +110,7 @@ class _Expansion:
             else:
                 coeffs[key] = term
         for key, data in sums.items():
-            order = cls._kernel(coeffs[key]).order
-            coeffs[key] = cls._term(Kernel._wrap(grid, order, data), key)
+            coeffs[key] = cls._term(Kernel._wrap(grid, data), key)
         return cls(grid, coeffs)
 
     def _map(self, fn):

@@ -171,7 +171,7 @@ def gradient_quadratic_form(n: int, f: Kernel) -> BiChaosElement:
     return BiChaosElement(
         grid,
         {
-            split: SplitKernel(Kernel._wrap(grid, sum(split), acc), split)
+            split: SplitKernel(Kernel._wrap(grid, acc), split)
             for split, acc in _quadratic_form_slots(n, f)
         },
     )

@@ -10,6 +10,13 @@ nested contractions, bicontractions) closes exactly: every integral is a
 finite weighted sum, so algebraic identities hold up to floating-point
 rounding only.
 
+A kernel's order is its array's ``ndim``: ``Kernel._wrap(grid, data)``
+takes it from the array the package built, so no caller states it a second
+time.  ``GridSpec`` keeps built-in numbers (an int cell count and a float
+length), so kernel records serialize whatever numeric types the caller
+passed.  The ``MAX_ENTRIES`` cap is checked in Python integers, so it also
+refuses over-cap sizes and orders given as numpy integers.
+
 Index conventions
 -----------------
 All operations identify the i-th tensor axis with the i-th argument of the
@@ -92,8 +99,10 @@ def _require_capacity(cells: int, order: int) -> None:
     arbitrarily large integer, so the power is formed only once order and
     cells are known to be small.  On two or more cells the count is at
     least 2**order, and one axis of more than MAX_ENTRIES cells exceeds
-    the cap on its own.
+    the cap on its own.  Numpy integers are turned into Python ints first,
+    so the power cannot wrap around in a fixed-width type.
     """
+    cells, order = int(cells), int(order)
     if cells > 1 and order > 0 and (
         order >= MAX_ENTRIES.bit_length()
         or cells > MAX_ENTRIES
@@ -141,9 +150,14 @@ def _require_order(n, f: Kernel, low) -> None:
         raise ValueError(f"n={n} needs a kernel of order {n}, got order {f.order}")
 
 
+def _is_real(value) -> bool:
+    """True iff value is a real number (Python or numpy) and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_tolerance(name: str, value) -> None:
     # nan would make every comparison with it False, and so every test pass
-    if not 0 <= value < math.inf:
+    if not (_is_real(value) and 0 <= value < math.inf):
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
@@ -156,19 +170,21 @@ def _require_finite(arr: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [0, total_length] with `cells` cells of width h."""
+    """Uniform grid on [0, total_length] with `cells` cells of width h.
+
+    Both fields are stored as built-in numbers (int and float), whatever
+    numeric type the caller passed, so records of the grid serialize.
+    """
 
     total_length: float
     cells: int
 
     def __post_init__(self):
         _require_int("cells", self.cells, 1)
-        if not (
-            isinstance(self.total_length, numbers.Real)
-            and not isinstance(self.total_length, bool)
-            and 0 < self.total_length < math.inf
-        ):
+        if not (_is_real(self.total_length) and 0 < self.total_length < math.inf):
             raise ValueError("total_length must be positive and finite")
+        object.__setattr__(self, "cells", int(self.cells))
+        object.__setattr__(self, "total_length", float(self.total_length))
 
     @property
     def cell_width(self) -> float:
@@ -185,15 +201,18 @@ class Kernel:
         Number of arguments n >= 0; order 0 is a scalar.
     data : array_like
         N^n values, flat or already shaped (N,)*n, row-major.  Bool, integer
-        and float input is stored as float64, anything else as complex128.
-        The choice follows the input's dtype, never its values: a complex
-        array with zero imaginary parts stays complex.
+        and float input is stored as float64, other numbers as complex128;
+        text (str or bytes entries) is refused.  The choice follows the
+        input's dtype, never its values: a complex array with zero
+        imaginary parts stays complex.
 
     A kernel has two doors.  This constructor is the door for the caller's
     data: it checks the order, the cap, the dtype and the size, and copies
-    the data.  ``_wrap`` is the door for arrays the package built, and
-    copies nothing.  Both end in ``_set``, which checks that the entries are
-    finite and freezes the array; kernels are immutable values.
+    the data into shape (N,)*order.  ``_wrap(grid, data)`` is the door for
+    arrays the package built, and copies nothing.  Both end in ``_set``,
+    which checks that the entries are finite, freezes the array and stores
+    its ``ndim`` as the order: a kernel's order is its array's ``ndim``, a
+    built-in int.  Kernels are immutable values.
     """
 
     __slots__ = ("grid", "order", "data")
@@ -202,17 +221,18 @@ class Kernel:
     __array_ufunc__ = None
 
     @classmethod
-    def _wrap(cls, grid: GridSpec, order: int, data) -> "Kernel":
+    def _wrap(cls, grid: GridSpec, data) -> "Kernel":
         """Kernel around an array the package built and owns, without a copy.
 
-        The caller guarantees a C-contiguous float64 or complex128 array of
-        shape (N,)*order that nothing else references (a 0-d result may come
-        as a numpy scalar), and has checked order and cap before allocating
-        it.  Only the entries are checked, because arithmetic on finite
-        input can still overflow.
+        The kernel's order is the array's ``ndim``.  The caller guarantees a
+        C-contiguous float64 or complex128 array of shape (N,)*order that
+        nothing else references (a 0-d result may come as a numpy scalar),
+        and has checked order and cap before allocating it.  Only the
+        entries are checked, because arithmetic on finite input can still
+        overflow.
         """
         self = object.__new__(cls)
-        self._set(grid, order, np.asarray(data))
+        self._set(grid, np.asarray(data))
         return self
 
     def __init__(self, grid: GridSpec, order: int, data):
@@ -221,6 +241,8 @@ class Kernel:
         _require_int("order", order, 0)
         _require_capacity(grid.cells, order)
         arr = np.asarray(data)
+        if arr.dtype.kind in "US":  # np.array would parse the text as numbers
+            raise ValueError(f"kernel data must be numbers, got {arr.dtype} entries")
         dtype = np.float64 if arr.dtype.kind in "biuf" else np.complex128
         arr = np.array(arr, dtype=dtype, order="C")
         if arr.size != grid.cells**order:
@@ -228,15 +250,15 @@ class Kernel:
                 f"data has {arr.size} entries, expected {grid.cells**order} "
                 f"for order {order} on {grid.cells} cells"
             )
-        self._set(grid, order, arr.reshape((grid.cells,) * order))
+        self._set(grid, arr.reshape((grid.cells,) * order))
 
-    def _set(self, grid: GridSpec, order: int, arr: np.ndarray) -> None:
+    def _set(self, grid: GridSpec, arr: np.ndarray) -> None:
         # the shared tail of both doors: finite entries, frozen, then set
         # past __setattr__, which refuses every assignment
         _require_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", arr.ndim)
         object.__setattr__(self, "data", arr)
 
     def __setattr__(self, name, value):
@@ -254,28 +276,25 @@ class Kernel:
 
     # -- value semantics helpers ------------------------------------------
 
-    def _like(self, data) -> "Kernel":
-        return Kernel._wrap(self.grid, self.order, data)
-
     def __add__(self, other):
         if not isinstance(other, Kernel):
             return NotImplemented
         _check_same_space(self, other)
-        return self._like(self.data + other.data)
+        return Kernel._wrap(self.grid, self.data + other.data)
 
     def __sub__(self, other):
         if not isinstance(other, Kernel):
             return NotImplemented
         _check_same_space(self, other)
-        return self._like(self.data - other.data)
+        return Kernel._wrap(self.grid, self.data - other.data)
 
     def __neg__(self):
-        return self._like(-self.data)
+        return Kernel._wrap(self.grid, -self.data)
 
     def __mul__(self, scalar):
         if isinstance(scalar, Kernel):
             return NotImplemented
-        return self._like(self.data * _scalar(scalar))
+        return Kernel._wrap(self.grid, self.data * _scalar(scalar))
 
     __rmul__ = __mul__
 
@@ -336,7 +355,7 @@ def _check_same_space(f: Kernel, g: Kernel) -> None:
 def zero_kernel(grid: GridSpec, order: int) -> Kernel:
     _require_int("order", order, 0)
     _require_capacity(grid.cells, order)
-    return Kernel._wrap(grid, order, np.zeros((grid.cells,) * order))
+    return Kernel._wrap(grid, np.zeros((grid.cells,) * order))
 
 def constant_kernel(grid: GridSpec, value: complex) -> Kernel:
     """Order-0 kernel (a scalar): float64 for a real value, else complex128."""
@@ -348,7 +367,7 @@ def cell_indicator(grid: GridSpec, cell: int, normalized: bool = False) -> Kerne
     _require_capacity(grid.cells, 1)
     data = np.zeros(grid.cells)
     data[cell] = 1.0 / math.sqrt(grid.cell_width) if normalized else 1.0
-    return Kernel._wrap(grid, 1, data)
+    return Kernel._wrap(grid, data)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +391,7 @@ def adjoint_split(w: SplitKernel) -> SplitKernel:
     a, b = w.split
     perm = tuple(reversed(range(a))) + tuple(reversed(range(a, a + b)))
     data = np.conj(np.transpose(w.kernel.data, perm), order="C")
-    return SplitKernel(Kernel._wrap(w.kernel.grid, w.kernel.order, data), w.split)
+    return SplitKernel(Kernel._wrap(w.kernel.grid, data), w.split)
 
 
 def max_abs_diff(f: Kernel, g: Kernel) -> float:
@@ -439,12 +458,12 @@ def symmetrize(f: Kernel) -> Kernel:
         warnings.warn("symmetrize: dropping nonzero imaginary part", stacklevel=2)
     data = data.real
     if f.order < 2:
-        return Kernel._wrap(f.grid, f.order, data.copy())
+        return Kernel._wrap(f.grid, data.copy())
     acc = np.zeros(data.shape)
     for perm in permutations(range(f.order)):
         acc += np.transpose(data, perm)
     acc /= math.factorial(f.order)
-    return Kernel._wrap(f.grid, f.order, acc)
+    return Kernel._wrap(f.grid, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +528,7 @@ def contract(f: Kernel, g: Kernel, p: int) -> Kernel:
     _require_int("p", p, 0, min(n, m))
     _require_capacity(f.grid.cells, n + m - 2 * p)
     out = _bicontract_array(f, (n, 0), _window_matrix(g, (m, 0), p, 0), p, 0)
-    return Kernel._wrap(f.grid, n + m - 2 * p, out)
+    return Kernel._wrap(f.grid, out)
 
 
 def bicontract(f: SplitKernel, g: SplitKernel, p: int, r: int) -> SplitKernel:
@@ -550,7 +569,7 @@ def bicontract(f: SplitKernel, g: SplitKernel, p: int, r: int) -> SplitKernel:
     _require_capacity(f.kernel.grid.cells, sum(out_split))
     G = _window_matrix(g.kernel, g.split, p, r)
     out = _bicontract_array(f.kernel, f.split, G, p, r)
-    return SplitKernel(Kernel._wrap(f.kernel.grid, sum(out_split), out), out_split)
+    return SplitKernel(Kernel._wrap(f.kernel.grid, out), out_split)
 
 
 def _window_matrix(g: Kernel, g_split, p: int, r: int) -> np.ndarray:
@@ -604,7 +623,7 @@ def slice_kernel(f: Kernel, k: int, s: int) -> SplitKernel:
     _require_int("k", k, 1, f.order)
     _require_int("s", s, 0, f.grid.cells - 1)
     data = np.take(f.data, s, axis=k - 1)
-    return SplitKernel(Kernel._wrap(f.grid, f.order - 1, data), (k - 1, f.order - k))
+    return SplitKernel(Kernel._wrap(f.grid, data), (k - 1, f.order - k))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def random_symmetric_unit_kernel(
     rng = np.random.Generator(np.random.Philox(key=[seed, index]))
     while True:
         raw = rng.uniform(-1.0, 1.0, size=(grid.cells,) * order)
-        k = symmetrize(Kernel._wrap(grid, order, raw))
+        k = symmetrize(Kernel._wrap(grid, raw))
         if float(np.max(np.abs(k.data))) >= 1e-8:
             return k / norm(k)
 
@@ -57,4 +57,4 @@ def counterexample_kernel(N: int) -> Kernel:
     data = np.zeros((N, N, N))
     for a in range(N):
         data[a, :, a] = math.sqrt(N)
-    return Kernel._wrap(grid, 3, data)
+    return Kernel._wrap(grid, data)

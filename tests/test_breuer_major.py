@@ -326,6 +326,8 @@ def test_bmconfig_validation():
         BMConfig(n=2, H=0.3, m_list=(8, 16), normalization="bogus")
     with pytest.raises(ValueError):
         BMConfig(n=1, H=0.3, m_list=(8, 16))
+    with pytest.raises(ValueError, match="^m_list must be nonempty$"):
+        BMConfig(n=2, H=0.3, m_list=())
 
 
 @pytest.mark.parametrize(
@@ -430,6 +432,17 @@ def test_increment_kernels_refuse_over_cap_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_vm_kernel_refuses_numpy_sample_size_over_cap(monkeypatch):
+    # 300**8 wraps around in int64 to a negative number; a check fooled by
+    # it would go on to the factor and a Kronecker loop of about 65 GB
+    def no_factor(H, m):
+        raise AssertionError("the cap check let an over-cap kernel through")
+
+    monkeypatch.setattr(breuer_major, "_cholesky_factor", no_factor)
+    with pytest.raises(MemoryCapError):
+        vm_kernel(BMConfig(n=8, H=0.5, m_list=(300,)), np.int64(300))
 
 
 def test_rate_fit_requirements():

@@ -285,6 +285,14 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_config_line_without_equals_exits_two_at_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment\nn-max 4\n")
+    code, out, err = run(capsys, "--config", str(cfg), "constants")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cfg}:2: expected key=value")
+
+
 def test_tol_echoed_in_header(capsys):
     _, out, _ = run(capsys, "--tol", "1e-7", "constants", "--n-max", "3")
     assert "tol=1e-07" in out.splitlines()[1]

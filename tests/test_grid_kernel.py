@@ -10,7 +10,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from wignerchaos.chaos import ChaosElement
+from wignerchaos.bichaos import bichaos_from_json, bichaos_to_json, from_split_kernel
+from wignerchaos.chaos import ChaosElement, chaos_from_json, chaos_to_json, from_kernel
 from wignerchaos.grid_kernel import (
     GridSpec,
     Kernel,
@@ -61,6 +62,22 @@ def test_grid_spec_cell_width():
         GridSpec(True, 3)  # a bool is not a length
 
 
+def test_numpy_scalar_arguments_give_records_that_serialize():
+    # GridSpec and the order keep built-in numbers, so json.dumps takes
+    # the records of a kernel and of both kinds of element
+    grid = GridSpec(np.float32(0.75), np.int64(3))
+    f = Kernel(grid, np.int64(2), np.eye(3))
+    for write, read, value in (
+        (kernel_to_json, kernel_from_json, f),
+        (chaos_to_json, chaos_from_json, from_kernel(np.int64(2), f)),
+        (bichaos_to_json, bichaos_from_json, from_split_kernel(SplitKernel(f, (1, 1)))),
+    ):
+        record = write(value)
+        assert write(read(json.loads(json.dumps(record)))) == record
+    assert type(grid.total_length) is float and type(grid.cells) is int
+    assert type(f.order) is int
+
+
 def test_kernel_construction_and_immutability():
     f = rand(2)
     assert f.data.dtype == np.complex128
@@ -95,6 +112,13 @@ def test_kernel_rejects_bad_shapes_and_values():
     # flat input of the right total size reshapes
     f = Kernel(GRID, 2, np.arange(9.0))
     assert f.data[2, 2] == 8.0
+
+
+@pytest.mark.parametrize("entries", [["1", "2"], [b"1", b"2"]], ids=["str", "bytes"])
+def test_kernel_refuses_text_entries(entries):
+    # np.array(..., dtype=float64) would parse the text as numbers
+    with pytest.raises(ValueError, match="must be numbers"):
+        Kernel(GridSpec(1.0, 2), 1, entries)
 
 
 def test_order_zero_kernel_is_scalar():
@@ -185,6 +209,15 @@ def test_memory_cap():
         zero_kernel(big, 3)  # 2^27 entries
     # the cap error is a ValueError so callers can catch broadly
     assert issubclass(MemoryCapError, ValueError)
+
+
+def test_memory_cap_holds_for_numpy_integer_sizes():
+    # each power wraps around in int64 to a number under the cap
+    for cells, order in ((np.int64(3000), 6), (3000, np.int64(6)), (np.int64(300), 8)):
+        with pytest.raises(MemoryCapError):
+            grid_kernel_module._require_capacity(cells, order)
+    with pytest.raises(MemoryCapError):
+        zero_kernel(GridSpec(1.0, 3000), np.int64(6))
 
 
 def test_adjoint_is_involution_and_reverses():
@@ -598,6 +631,8 @@ def test_binary_rejects_corrupt_input():
         kernel_from_bytes(b"XXXX" + buf[4:])
     with pytest.raises(ValueError):
         kernel_from_bytes(buf[:-8])
+    with pytest.raises(ValueError, match="^unsupported record version 2$"):
+        kernel_from_bytes(buf[:4] + struct.pack("<H", 2) + buf[6:])
 
 
 def test_binary_rejects_huge_order_header_before_allocating():

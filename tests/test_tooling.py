@@ -5,10 +5,11 @@ renamed function breaks ``perfbench/run.py --trace 1`` only when the
 benchmark runs.  These tests catch that, a stale ``__all__`` or
 re-export, and a benchmark item whose checks fail, in the tier-1 suite.  The
 integer test holds every public integer parameter, and every integer in the
-keys of a public dict parameter, to the package's one integer check.  The
-last two keep the copying constructor ``Kernel(...)`` at the package's
-boundary, and check that what the package builds, which enters through
-``_wrap``, is the kernel that constructor would have made.
+keys of a public dict parameter, to the package's one integer check; the
+next holds every tolerance and Hurst index to a check that refuses text,
+bools and None.  The last two keep the copying constructor ``Kernel(...)``
+at the package's boundary, and check that what the package builds, which
+enters through ``_wrap``, is the kernel that constructor would have made.
 """
 
 import ast
@@ -126,8 +127,8 @@ RECORDS = {"ConstantsRow", "BoundReport", "BMResult"}
 INT_ANNOTATIONS = ("int", "dict[int, Kernel]", "dict[tuple[int, int], SplitKernel]")
 
 
-def public_int_parameters():
-    """(module, function, parameter) for every parameter carrying integers."""
+def public_parameters(keep):
+    """(module, function, parameter) for every public parameter p with keep(p)."""
     found = set()
     for module in package_modules():
         short = module.__name__.rpartition(".")[2]
@@ -141,12 +142,13 @@ def public_int_parameters():
                 params = inspect.signature(obj).parameters.values()
             except ValueError:  # an exception class has no signature
                 continue
-            found |= {
-                (short, name, p.name)
-                for p in params
-                if p.annotation in (*INT_ANNOTATIONS, int)
-            }
+            found |= {(short, name, p.name) for p in params if keep(p)}
     return found
+
+
+def public_int_parameters():
+    """(module, function, parameter) for every parameter carrying integers."""
+    return public_parameters(lambda p: p.annotation in (*INT_ANNOTATIONS, int))
 
 
 def with_bad_integer(value, bad):
@@ -227,6 +229,31 @@ def test_every_public_integer_parameter_is_checked():
             for value in with_bad_integer(kwargs[param], bad):
                 with pytest.raises(ValueError, match=message):
                     fn(**{**kwargs, param: value})
+
+
+# the parameters that carry a tolerance or a Hurst index
+REAL_PARAMETERS = ("tol", "rtol", "atol", "H")
+
+
+def test_every_public_tolerance_and_hurst_parameter_is_checked():
+    found = public_parameters(lambda p: p.name in REAL_PARAMETERS)
+    f = random_symmetric_unit_kernel(GridSpec(1.0, 3), 2, 0, 0)
+    calls = {
+        **valid_calls(),
+        ("chaos", "fourth_moment_gap"): {"f": f},
+        ("grid_kernel", "is_mirror_symmetric"): {"f": f},
+        ("grid_kernel", "is_symmetric"): {"f": f},
+        ("grid_kernel", "kernels_close"): {"f": f, "g": f},
+    }
+    assert len(found) == 13
+    for module, name, param in sorted(found):
+        fn = getattr(import_module(f"wignerchaos.{module}"), name)
+        kwargs = calls[(module, name)]
+        fn(**kwargs)
+        # a bool is refused too: True would pass as 1.0
+        for bad in ("0.5", True, None):
+            with pytest.raises(ValueError, match=f"^{param} must"):
+                fn(**{**kwargs, param: bad})
 
 
 # the boundary functions that turn the caller's data into a kernel
