@@ -23,6 +23,7 @@ from __future__ import annotations
 from .grid_kernel import (
     GridSpec,
     SplitKernel,
+    _check_same_grid,
     _require_int,
     adjoint_split,
     bicontract,
@@ -79,8 +80,7 @@ def one_tensor_one(grid: GridSpec) -> BiChaosElement:
 
 def tensor(A: ChaosElement, B: ChaosElement) -> BiChaosElement:
     """Separable element A (x) B from two chaos expansions."""
-    if A.grid != B.grid:
-        raise ValueError("grid mismatch")
+    _check_same_grid(A, B)
     coeffs = {
         (a, b): SplitKernel(contract(f, g, 0), (a, b))
         for a, f in A.coeffs.items()
@@ -91,8 +91,7 @@ def tensor(A: ChaosElement, B: ChaosElement) -> BiChaosElement:
 
 def sharp_multiply(X: BiChaosElement, Y: BiChaosElement) -> BiChaosElement:
     """Bilinear extension of the biproduct formula."""
-    if X.grid != Y.grid:
-        raise ValueError("grid mismatch")
+    _check_same_grid(X, Y)
     terms = (
         bicontract(w, v, p, r)
         for (n1, m1), w in X.coeffs.items()

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import bounds
+from . import bounds, grid_kernel
 from .grid_kernel import GridSpec, Kernel, _is_real, _require_capacity, _require_int
 
 __all__ = [
@@ -78,11 +78,13 @@ class BMConfig:
         object.__setattr__(self, "m_list", tuple(self.m_list))
         for m in self.m_list:
             _require_int("m", m, 1)
+            _require_lag_entries("m", m, _gap_entries(m))
         if any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
             raise ValueError("m_list must be strictly increasing")
         if not self.m_list:
             raise ValueError("m_list must be nonempty")
         _require_int("truncation", self.truncation, 1)
+        _require_lag_entries("truncation", self.truncation, int(self.truncation) + 2)
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
 
@@ -134,6 +136,21 @@ def _require_hurst(H: float) -> None:
         raise ValueError("H must lie in (0, 1)")
 
 
+def _require_lag_entries(name: str, size: int, entries: int) -> None:
+    """Refuse a sample size or truncation whose largest array exceeds MAX_ENTRIES.
+
+    ``size`` has passed ``_require_int``; ``entries`` is the length of the
+    largest array it makes, ``_gap_entries(m)`` for a sample size m of
+    gap_fast and K + 2 for a truncation K of sigma2.  Checked before the
+    lags are formed, so an over-cap size allocates nothing.
+    """
+    if entries > grid_kernel.MAX_ENTRIES:
+        raise grid_kernel.MemoryCapError(
+            f"{name}={size} needs an array of {entries} entries, over the cap "
+            f"of {grid_kernel.MAX_ENTRIES} entries"
+        )
+
+
 def rho(H: float, k: int) -> float:
     """Autocovariance of unit-step fractional increments at lag k (of either sign)."""
     _require_hurst(H)
@@ -163,6 +180,7 @@ def sigma2(n: int, H: float, K: int) -> float:
     """
     _require_int("K", K, 1)
     _require_summable(n, H)
+    _require_lag_entries("K", K, int(K) + 2)  # the K + 2 powers of _rho_lags
     r = _rho_lags(H, K + 1)
     return float(r[0] ** n + 2.0 * np.sum(r[1:] ** n))
 
@@ -171,12 +189,12 @@ def sigma2_tail_bound(n: int, H: float, K: int) -> float:
     """Bound on the dropped tail, from |rho_H(k)| <= 2H|2H-1| k^(2H-2), k >= 2.
 
     Same preconditions as ``sigma2``: outside them the series diverges and
-    the formula below is not a bound (it can even be negative).
+    the formula below is not a bound (it can even be negative).  At H = 1/2
+    the constant 2H|2H-1| is 0, so the bound is exactly 0.0: the increments
+    are independent and no tail is dropped.
     """
     _require_int("K", K, 1)
     _require_summable(n, H)
-    if H == 0.5:
-        return 0.0
     a = 2.0 * H * abs(2.0 * H - 1.0)
     decay = n * (2.0 - 2.0 * H) - 1.0  # > 0 under the summability condition
     return 2.0 * a**n * K**(-decay) / decay
@@ -195,6 +213,12 @@ def _toeplitz(r: np.ndarray) -> np.ndarray:
 
 # diagonals per lane and pass of _trace_abab; at 64 one pass's buffer fits in L2
 _DIAGONAL_BLOCK = 64
+
+
+def _gap_entries(m: int) -> int:
+    # gap_fast's largest array at sample size m: _trace_abab's buffer of two
+    # lanes of _DIAGONAL_BLOCK diagonals, ceil(m/2) entries each
+    return 2 * _DIAGONAL_BLOCK * ((int(m) + 1) // 2)
 
 
 def _first_row(x, y):
@@ -302,10 +326,10 @@ def _cholesky_factor(H: float, m: int) -> np.ndarray:
     """Lower Cholesky factor L of the covariance: row k of L is increment k.
 
     A small diagonal jitter is tried before giving up on non-PSD input.
+    Unvalidated: its callers have checked H, m and the cap on the m x m
+    covariance and factor (vm_kernel through its config and the cap on
+    m^n, n >= 2; increment_kernels at its own door).
     """
-    _require_hurst(H)
-    _require_int("m", m, 1)
-    _require_capacity(m, 2)  # before the m x m covariance and factor
     r = _rho_lags(H, m)
     cov = _toeplitz(r)
     try:
@@ -332,6 +356,9 @@ def increment_kernels(H: float, m: int) -> list[Kernel]:
     the factor directly; the tests check the Gram identity here, and the
     benchmark's tracer wraps this binding.
     """
+    _require_hurst(H)
+    _require_int("m", m, 1)
+    _require_capacity(m, 2)  # before the m x m covariance and factor
     L = _cholesky_factor(H, m)
     grid = GridSpec(float(m), m)
     return [Kernel._wrap(grid, L[i].copy()) for i in range(m)]
@@ -361,6 +388,9 @@ def vm_kernel(cfg: BMConfig, m: int) -> Kernel:
     of K is the (n-1)-fold Kronecker power of L[k]; for n = 2 it is L^T L.
     The grid has cell width 1, so the L2 norm of the raw kernel is the
     Euclidean norm of its entries.  Any m >= 1 is accepted, as in gap_fast.
+    H was checked by the config, and the cap on the order-n kernel also
+    covers the m x m factor.  Under asymptotic_sigma the limit variance
+    needs no check: for n >= 2 it is at least 1 - 2^(1-n) >= 1/2.
     """
     _require_int("m", m, 1)
     _require_capacity(m, cfg.n)
@@ -372,10 +402,7 @@ def vm_kernel(cfg: BMConfig, m: int) -> Kernel:
     if cfg.normalization == "exact_variance":
         scale = 1.0 / math.sqrt(np.vdot(raw, raw))
     else:
-        s2 = cfg.limit_variance
-        if s2 <= 0:
-            raise ValueError(f"nonpositive limit variance sigma^2={s2}")
-        scale = 1.0 / (math.sqrt(s2) * math.sqrt(m))
+        scale = 1.0 / (math.sqrt(cfg.limit_variance) * math.sqrt(m))
     return Kernel._wrap(GridSpec(float(m), m), raw * scale)
 
 
@@ -404,8 +431,12 @@ def gap_fast(cfg: BMConfig, m: int) -> float:
       dot over the full-weight head plus a weighted ragged tail; see
       ``_trace_abab``;
     * variance: sum(R^n) = m r_0^n + 2 sum_{d=1}^{m-1} (m-d) r_d^n.
+
+    A sample size whose block buffer would exceed MAX_ENTRIES (m > 2^20 at
+    the default cap) is refused before any array is formed.
     """
     _require_int("m", m, 1)
+    _require_lag_entries("m", m, _gap_entries(m))
     n = cfg.n
     r = _rho_lags(cfg.H, m)
     if cfg.normalization == "exact_variance":

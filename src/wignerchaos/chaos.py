@@ -23,6 +23,7 @@ from .grid_kernel import (
     GridSpec,
     Kernel,
     _add_into,
+    _check_same_grid,
     _require_int,
     _require_order,
     _require_unit_kernel,
@@ -61,8 +62,11 @@ class _Expansion:
     A subclass states a term's key (``_key``), the term's kernel
     (``_kernel``) and the term of a kernel at a key (``_term``), and names
     its keys for ``repr`` (``_KEYS``).  Its ``__init__`` checks the key type
-    and then runs this one: exactly zero kernels are pruned, so the support
-    does not depend on the scale.
+    and then runs this one: each caller's key must equal its term's key,
+    and a term is stored under the key its kernel gives (an order or a
+    split, built-in ints), so a key given as a numpy integer reads back as
+    a built-in int.  Exactly zero kernels are pruned, so the support does
+    not depend on the scale.
     """
 
     __slots__ = ("grid", "coeffs")
@@ -73,13 +77,13 @@ class _Expansion:
     def __init__(self, grid: GridSpec, coeffs: dict):
         pruned = {}
         for key, term in sorted(coeffs.items()):
-            f = self._kernel(term)
-            if self._key(term) != key:
-                raise ValueError(f"kernel keyed {self._key(term)} stored at {key}")
+            f, own = self._kernel(term), self._key(term)
+            if own != key:
+                raise ValueError(f"kernel keyed {own} stored at {key}")
             if f.grid != grid:
                 raise ValueError("all kernels must share the element's grid")
             if f.data.any():
-                pruned[key] = term
+                pruned[own] = term
         self.grid = grid
         self.coeffs = pruned
 
@@ -120,8 +124,7 @@ class _Expansion:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if other.grid != self.grid:
-            raise ValueError("grid mismatch")
+        _check_same_grid(self, other)
         terms = [*self.coeffs.values(), *other.coeffs.values()]
         return self._sum_by_key(self.grid, terms)
 
@@ -187,10 +190,7 @@ class _Expansion:
             if ",".join(map(str, key)) != str(text):
                 raise ValueError(f"malformed element key {text!r}")
             key = key if len(key) > 1 else key[0]
-            try:
-                coeffs[key] = cls._term(kernel_from_json(record), key)
-            except TypeError as exc:  # a split key that is not a pair
-                raise ValueError(f"malformed element key {text!r}: {exc}") from None
+            coeffs[key] = cls._term(kernel_from_json(record), key)
         return cls(grid, coeffs)
 
 
@@ -233,8 +233,7 @@ def one(grid: GridSpec) -> ChaosElement:
 
 def multiply(X: ChaosElement, Y: ChaosElement) -> ChaosElement:
     """Product via the bilinear extension of the product formula."""
-    if X.grid != Y.grid:
-        raise ValueError("grid mismatch")
+    _check_same_grid(X, Y)
     terms = (
         contract(f, g, p)
         for n, f in X.coeffs.items()
@@ -261,8 +260,7 @@ def trace_of_product(X: ChaosElement, Y: ChaosElement) -> complex:
     the full contractions of matching orders; this avoids the large
     intermediate kernels of ``multiply``.
     """
-    if X.grid != Y.grid:
-        raise ValueError("grid mismatch")
+    _check_same_grid(X, Y)
     total = 0.0 + 0.0j
     for n, f in X.coeffs.items():
         g = Y.coeffs.get(n)
@@ -346,8 +344,8 @@ def oracle_moment(factors: list[tuple[int, Kernel]]) -> complex:
     if not kernels:
         return scalar
     grid = kernels[0].grid
-    if any(f.grid != grid for f in kernels):
-        raise ValueError("grid mismatch")
+    for f in kernels:
+        _check_same_grid(kernels[0], f)
     total_order = sum(f.order for f in kernels)
     if total_order > ORACLE_MAX_ORDER:
         raise ValueError(

@@ -201,10 +201,10 @@ class Kernel:
         Number of arguments n >= 0; order 0 is a scalar.
     data : array_like
         N^n values, flat or already shaped (N,)*n, row-major.  Bool, integer
-        and float input is stored as float64, other numbers as complex128;
-        text (str or bytes entries) is refused.  The choice follows the
-        input's dtype, never its values: a complex array with zero
-        imaginary parts stays complex.
+        and float input is stored as float64, complex input as complex128;
+        any other dtype, such as text or an object array, is refused.  The
+        choice follows the input's dtype, never its values: a complex array
+        with zero imaginary parts stays complex.
 
     A kernel has two doors.  This constructor is the door for the caller's
     data: it checks the order, the cap, the dtype and the size, and copies
@@ -241,9 +241,10 @@ class Kernel:
         _require_int("order", order, 0)
         _require_capacity(grid.cells, order)
         arr = np.asarray(data)
-        if arr.dtype.kind in "US":  # np.array would parse the text as numbers
+        # np.array would parse text, also text held in an object array
+        if arr.dtype.kind not in "biufc":
             raise ValueError(f"kernel data must be numbers, got {arr.dtype} entries")
-        dtype = np.float64 if arr.dtype.kind in "biuf" else np.complex128
+        dtype = np.complex128 if arr.dtype.kind == "c" else np.float64
         arr = np.array(arr, dtype=dtype, order="C")
         if arr.size != grid.cells**order:
             raise ValueError(
@@ -309,12 +310,19 @@ def _scalar(value) -> float | complex:
 
 @dataclass(frozen=True)
 class SplitKernel:
-    """A kernel of order a+b read as an element of the (a, b) tensor leg split."""
+    """A kernel of order a+b read as an element of the (a, b) tensor leg split.
+
+    The split must be a pair of integers; it is stored as a tuple of two
+    built-in ints, whatever integer types it was given, so that it keys a
+    ``bichaos.BiChaosElement`` the same way whichever way it was built.
+    """
 
     kernel: Kernel
     split: tuple[int, int]
 
     def __post_init__(self):
+        if not (isinstance(self.split, tuple) and len(self.split) == 2):
+            raise ValueError(f"split must be a pair of integers, got {self.split!r}")
         a, b = self.split
         order = self.kernel.order
         _require_int("split[0]", a, 0, order)
@@ -323,6 +331,7 @@ class SplitKernel:
             raise ValueError(
                 f"split {self.split} inconsistent with kernel order {order}"
             )
+        object.__setattr__(self, "split", (int(a), int(b)))
 
 
 def _add_into(acc: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -337,7 +346,8 @@ def _add_into(acc: np.ndarray, data: np.ndarray) -> np.ndarray:
     return acc + data
 
 
-def _check_same_grid(f: Kernel, g: Kernel) -> None:
+def _check_same_grid(f, g) -> None:
+    # the one grid check of two operands: kernels or expansions, any .grid
     if f.grid != g.grid:
         raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
 

@@ -168,6 +168,8 @@ def test_element_operators():
             X + bad
         with pytest.raises(TypeError):
             X - bad
+    with pytest.raises(TypeError):  # the product is sharp_multiply, not *
+        X * X
     assert repr(X) == "BiChaosElement(splits=[(0, 0), (1, 1), (1, 2), (2, 1)])"
     assert repr(X - X) == "BiChaosElement(splits=[])"
 
@@ -236,6 +238,10 @@ def test_element_keys_must_be_the_kernel_splits():
     with pytest.raises(ValueError):
         BiChaosElement(GRID, {(1, 2): w})
     assert BiChaosElement(GRID, {(2, 1): w}).splits == ((2, 1),)
+    # a split given in numpy integers keys the element in built-in ints
+    v = SplitKernel(rand_kernel(1, 17), (np.int64(1), 0))
+    X = BiChaosElement(GRID, {(np.int64(1), 0): v})
+    assert X.splits == ((1, 0),) and all(type(x) is int for x in X.splits[0])
 
 
 def test_element_is_immutable():

@@ -504,3 +504,43 @@ def test_spectral_path_validated_against_dense_products():
     assert complex(trace_of_product(X3, adjoint(X3))).real == pytest.approx(
         ms[6].real, abs=1e-10
     )
+
+
+def test_limit_variance_is_at_least_one_minus_two_to_the_one_minus_n():
+    # sum_{k>=1} |rho(k)| <= 1/2 and |rho(k)| <= 1/2, so the signed sum is
+    # at least 1 - 2 * 2^(-n); this is why vm_kernel needs no positivity guard
+    for n in range(2, 7):
+        for H in np.linspace(0.01, (2 * n - 1) / (2 * n), 25, endpoint=False):
+            for K in (1, 2, 10, 1000):
+                assert sigma2(n, H, K) >= 1 - 2.0 ** (1 - n), (n, H, K)
+
+
+def test_rate_fit_refuses_a_nonpositive_gap(monkeypatch):
+    monkeypatch.setattr(breuer_major, "gap_fast", lambda cfg, m: 0.0)
+    with pytest.raises(ValueError, match="nonpositive gap"):
+        rate_fit(BMConfig(n=2, H=0.3, m_list=(4, 8, 16, 32)))
+
+
+def test_sample_sizes_and_truncation_are_refused_before_the_lags(monkeypatch):
+    # gap_fast's block buffer at m = 2**11 holds 2**17 entries and sigma2's
+    # lags at K = 2**11 hold 2050, over a cap of 2**10; both used to be
+    # computed, and BMConfig accepted either size
+    cfg = BMConfig(n=2, H=0.3, m_list=(4,), truncation=100)
+
+    def no_lags(H, count):
+        raise AssertionError("an over-cap size reached _rho_lags")
+
+    monkeypatch.setattr(breuer_major, "_rho_lags", no_lags)
+    monkeypatch.setattr(grid_kernel, "MAX_ENTRIES", 2**10)
+    calls = (
+        (lambda: gap_fast(cfg, 2**11), r"^m=2048 needs an array of 131072 entries"),
+        (lambda: sigma2(2, 0.3, 2**11), r"^K=2048 needs an array of 2050 entries"),
+        (
+            lambda: BMConfig(n=2, H=0.3, m_list=(4,), truncation=2**11),
+            r"^truncation=2048 needs",
+        ),
+        (lambda: BMConfig(n=2, H=0.3, m_list=(4, 2**11), truncation=100), r"^m=2048 needs"),
+    )
+    for call, message in calls:
+        with pytest.raises(MemoryCapError, match=message):
+            call()

@@ -192,7 +192,7 @@ def test_semicircle_moments_from_product_formula():
     # I_1 of a unit vector is standard semicircular: moments are Catalans
     e = cell_indicator(GRID, 1, normalized=True)
     X = from_kernel(1, e)
-    for k in range(1, 9):
+    for k in range(9):
         want = semicircle_moment(1.0, k)
         assert complex(moment(X, k)) == pytest.approx(want, abs=1e-10)
     # scaled: I_1(c e) ~ S(0, c^2)
@@ -302,6 +302,14 @@ def test_element_keys_must_be_the_kernel_orders():
         from_kernel(1, f)
     with pytest.raises(ValueError):
         from_kernel(True, rand_kernel(1, 99))  # built an element keyed by True
+    # a term is stored under its kernel's order, not the caller's np.int64
+    X = ChaosElement(GRID, {np.int64(1): rand_kernel(1, 97)})
+    assert X.orders == (1,) and type(X.orders[0]) is int
+
+
+def test_spectral_moments_need_an_order_two_kernel():
+    with pytest.raises(ValueError, match="needs an order-2 kernel"):
+        spectral_moments(rand_kernel(3, 96), 4)
 
 
 def test_element_is_immutable():

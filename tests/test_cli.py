@@ -9,7 +9,7 @@ import pytest
 
 import wignerchaos
 from wignerchaos.bichaos import norm2
-from wignerchaos import cli
+from wignerchaos import breuer_major, cli, grid_kernel
 from wignerchaos.cli import _fmt, main
 from wignerchaos.grid_kernel import (
     GridSpec,
@@ -376,3 +376,19 @@ def test_closed_stdout_pipe_exits_zero_without_traceback():
         os.close(write_end)
     assert proc.returncode == 0, proc.stderr
     assert b"Traceback" not in proc.stderr
+
+
+def test_breuer_major_over_cap_sample_size_exits_two_before_the_sweep(capsys, monkeypatch):
+    # the largest m used to reach gap_fast, which built its O(m) arrays with
+    # no cap check; now BMConfig refuses it before any rate is computed
+    def no_lags(H, count):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(breuer_major, "_rho_lags", no_lags)
+    monkeypatch.setattr(grid_kernel, "MAX_ENTRIES", 2**10)
+    code, out, err = run(capsys, "breuer-major", "--m", "4,8,16,2048", "--truncation", "100")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: m=2048 needs an array of")
+    code, out, err = run(capsys, "breuer-major", "--m", "4,8,16", "--truncation", "2048")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: truncation=2048 needs an array of")

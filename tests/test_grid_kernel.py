@@ -114,9 +114,19 @@ def test_kernel_rejects_bad_shapes_and_values():
     assert f.data[2, 2] == 8.0
 
 
-@pytest.mark.parametrize("entries", [["1", "2"], [b"1", b"2"]], ids=["str", "bytes"])
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ["1", "2"],
+        [b"1", b"2"],
+        np.array(["1", "2"], dtype=object),
+        np.array([True, 2.0], dtype=object),
+    ],
+    ids=["str", "bytes", "object-str", "object-bool"],
+)
 def test_kernel_refuses_text_entries(entries):
-    # np.array(..., dtype=float64) would parse the text as numbers
+    # np.array(..., dtype=float64) would parse the text as numbers, also
+    # text or a bool held in an object array
     with pytest.raises(ValueError, match="must be numbers"):
         Kernel(GridSpec(1.0, 2), 1, entries)
 
@@ -345,11 +355,25 @@ def test_bicontract_validation():
             bicontract(f, g, p, r)
 
 
+def test_kernel_operators_refuse_numbers_and_kernel_products():
+    f = Kernel(GridSpec(1.5, 3), 2, np.ones(9))
+    assert repr(f) == "Kernel(order=2, cells=3, T=1.5)"
+    for op in (lambda: f + 1, lambda: f - 1, lambda: f * f):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_split_must_match_kernel_order():
     f = rand(3, seed=20)
     assert SplitKernel(f, (1, 2)).split == (1, 2)
+    # numpy integers are stored as built-in ints, so the split keys alike
+    split = SplitKernel(f, (np.int64(1), np.uint8(2))).split
+    assert split == (1, 2) and all(type(x) is int for x in split)
     for split in ((1, 1), (2, 2), (-1, 4), (4, -1), (1.5, 1.5), (True, 2)):
         with pytest.raises(ValueError):
+            SplitKernel(f, split)
+    for split in (3, (1, 1, 1), [1, 2], None):
+        with pytest.raises(ValueError, match="split must be a pair of integers"):
             SplitKernel(f, split)
 
 

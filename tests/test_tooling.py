@@ -6,8 +6,10 @@ benchmark runs.  These tests catch that, a stale ``__all__`` or
 re-export, and a benchmark item whose checks fail, in the tier-1 suite.  The
 integer test holds every public integer parameter, and every integer in the
 keys of a public dict parameter, to the package's one integer check; the
-next holds every tolerance and Hurst index to a check that refuses text,
-bools and None.  The last two keep the copying constructor ``Kernel(...)``
+over-cap table holds every public function whose size decides an
+allocation to a ``MemoryCapError`` before its first array; the next holds
+every tolerance and Hurst index to a check that refuses text, bools and
+None.  The last two keep the copying constructor ``Kernel(...)``
 at the package's boundary, and check that what the package builds, which
 enters through ``_wrap``, is the kernel that constructor would have made.
 """
@@ -18,6 +20,7 @@ import inspect
 import json
 import pkgutil
 import sys
+import tracemalloc
 from importlib import import_module
 from pathlib import Path
 
@@ -25,14 +28,17 @@ import numpy as np
 import pytest
 
 import wignerchaos
+from wignerchaos import grid_kernel
 from wignerchaos.breuer_major import NORMALIZATIONS, BMConfig, increment_kernels, vm_kernel
 from wignerchaos.chaos import from_kernel
 from wignerchaos.grid_kernel import (
     GridSpec,
     Kernel,
+    MemoryCapError,
     SplitKernel,
     adjoint,
     cell_indicator,
+    kernel_to_bytes,
     symmetrize,
     zero_kernel,
 )
@@ -229,6 +235,59 @@ def test_every_public_integer_parameter_is_checked():
             for value in with_bad_integer(kwargs[param], bad):
                 with pytest.raises(ValueError, match=message):
                     fn(**{**kwargs, param: value})
+
+
+# the cap of the over-cap table; every size in it would build an array of
+# at least 2 MiB, so a traced peak under 1 MiB shows that none was built
+SIZED_CAP = 2**10
+
+
+def over_cap_calls():
+    """(module, function) -> keyword arguments of one call over SIZED_CAP.
+
+    Every public function whose size argument decides an allocation, each
+    with an over-cap size and every other argument valid.  The arguments
+    are built at the default cap.
+    """
+    small = zero_kernel(GridSpec(1.0, 32), 2)  # order 4 on 32 cells: 8 MiB
+    w = SplitKernel(small, (1, 1))
+    cfg = BMConfig(n=2, H=0.3, m_list=(4,), truncation=100)
+    big = GridSpec(1.0, 512)  # order 2: 2 MiB
+    return {
+        ("breuer_major", "BMConfig"): {"n": 2, "H": 0.3, "m_list": (4, 2**13), "truncation": 100},
+        ("breuer_major", "gap_fast"): {"cfg": cfg, "m": 2**13},  # a 4 MiB block buffer
+        ("breuer_major", "increment_kernels"): {"H": 0.3, "m": 512},
+        ("breuer_major", "sigma2"): {"n": 2, "H": 0.3, "K": 2**18},
+        ("breuer_major", "vm_kernel"): {"cfg": cfg, "m": 512},
+        ("grid_kernel", "Kernel"): {"grid": big, "order": 2, "data": np.zeros(1)},
+        ("grid_kernel", "bicontract"): {"f": w, "g": w, "p": 0, "r": 0},
+        ("grid_kernel", "contract"): {"f": small, "g": small, "p": 0},
+        ("grid_kernel", "kernel_from_bytes"): {"buf": kernel_to_bytes(zero_kernel(big, 2))},
+        ("grid_kernel", "zero_kernel"): {"grid": big, "order": 2},
+        ("workloads", "counterexample_kernel"): {"N": 64},
+        ("workloads", "random_symmetric_unit_kernel"): {
+            "grid": GridSpec(1.0, 64), "order": 3, "seed": 0, "index": 0
+        },
+    }
+
+
+@pytest.mark.parametrize("module, name", sorted(over_cap_calls()))
+def test_every_sized_public_function_refuses_over_cap_before_allocating(
+    module, name, monkeypatch
+):
+    # gap_fast, sigma2 and BMConfig used to accept any size
+    source = import_module(f"wignerchaos.{module}")
+    assert name in source.__all__
+    kwargs = over_cap_calls()[(module, name)]
+    monkeypatch.setattr(grid_kernel, "MAX_ENTRIES", SIZED_CAP)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryCapError):
+            getattr(source, name)(**kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # the parameters that carry a tolerance or a Hurst index
