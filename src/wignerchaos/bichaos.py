@@ -25,6 +25,7 @@ from .grid_kernel import (
     SplitKernel,
     _check_same_grid,
     _require_int,
+    _require_pair,
     adjoint_split,
     bicontract,
     constant_kernel,
@@ -54,7 +55,9 @@ class BiChaosElement(_Expansion):
     _KEYS = "splits"
 
     def __init__(self, grid: GridSpec, coeffs: dict[tuple[int, int], SplitKernel]):
-        for a, b in coeffs:
+        for split in coeffs:
+            _require_pair(split)
+            a, b = split
             _require_int("split[0]", a, 0)
             _require_int("split[1]", b, 0)
         super().__init__(grid, coeffs)

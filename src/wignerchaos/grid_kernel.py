@@ -139,6 +139,12 @@ def _require_int(name: str, value, low, high=None) -> None:
         raise ValueError(f"{name}={value} out of range [{low}, {high}]")
 
 
+def _require_pair(split) -> None:
+    """Raise ValueError unless split is a tuple of two, before it is unpacked."""
+    if not (isinstance(split, tuple) and len(split) == 2):
+        raise ValueError(f"split must be a pair of integers, got {split!r}")
+
+
 def _require_order(n, f: Kernel, low) -> None:
     """Raise ValueError unless n is an integer >= low and f has order n.
 
@@ -321,8 +327,7 @@ class SplitKernel:
     split: tuple[int, int]
 
     def __post_init__(self):
-        if not (isinstance(self.split, tuple) and len(self.split) == 2):
-            raise ValueError(f"split must be a pair of integers, got {self.split!r}")
+        _require_pair(self.split)
         a, b = self.split
         order = self.kernel.order
         _require_int("split[0]", a, 0, order)

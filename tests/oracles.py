@@ -8,11 +8,15 @@ bookkeeping with ``gradient._quadratic_form_slots`` or the CLI's
 ``moments_from_cumulants`` is the free moment-cumulant recursion summed
 composition by composition, the loop ``chaos.spectral_moments`` used
 before it took powers of the moment prefix with ``np.convolve``.
+
+``fold_moment`` is the left fold ``chaos.moment`` used before it took the
+trace of two half powers: it builds every power X^2, ..., X^k in full.
 """
 
 import numpy as np
 
 from wignerchaos.bichaos import BiChaosElement
+from wignerchaos.chaos import ChaosElement, multiply, trace
 from wignerchaos.grid_kernel import Kernel, SplitKernel, adjoint_split, bicontract
 
 
@@ -56,3 +60,13 @@ def moments_from_cumulants(kappa, k_max: int) -> list[complex]:
             tot += kappa[s] * conv[rem]
         m.append(tot)
     return m
+
+
+def fold_moment(X: ChaosElement, k: int) -> complex:
+    """phi(X^k) by the left fold ((X X) X) ... X, X^k formed in full."""
+    if k == 0:
+        return 1.0 + 0.0j
+    acc = X
+    for _ in range(k - 1):
+        acc = multiply(acc, X)
+    return trace(acc)

@@ -244,6 +244,16 @@ def test_element_keys_must_be_the_kernel_splits():
     assert X.splits == ((1, 0),) and all(type(x) is int for x in X.splits[0])
 
 
+@pytest.mark.parametrize(
+    "key", [3, None, (1,), (1, 1, 1), "ab"], ids=["int", "None", "single", "triple", "str"]
+)
+def test_element_key_that_is_not_a_pair_is_refused_before_unpacking(key):
+    # checked before the key is unpacked, so "ab" is not read as ("a", "b")
+    w = SplitKernel(rand_kernel(2, 9), (1, 1))
+    with pytest.raises(ValueError, match=r"^split must be a pair of integers, got "):
+        BiChaosElement(GRID, {key: w})
+
+
 def test_element_is_immutable():
     X = rand_bichaos(8)
     for name, value in (("coeffs", {}), ("grid", GridSpec(2.0, 3))):

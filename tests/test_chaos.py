@@ -1,8 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import moments_from_cumulants
+from oracles import fold_moment, moments_from_cumulants
 
+from wignerchaos import chaos, grid_kernel
 from wignerchaos.bounds import semicircle_moment
+from wignerchaos.breuer_major import BMConfig, vm_kernel
 from wignerchaos.chaos import (
     ChaosElement,
     adjoint,
@@ -21,6 +26,7 @@ from wignerchaos.chaos import (
 from wignerchaos.grid_kernel import (
     GridSpec,
     Kernel,
+    MemoryCapError,
     adjoint as kernel_adjoint,
     cell_indicator,
     constant_kernel,
@@ -43,13 +49,14 @@ def rand_kernel(order, seed, cells=3):
     )
 
 
-def rand_element(seed, orders=(0, 1, 2)):
+def rand_element(seed, orders=(0, 1, 2), grid=GRID):
     rng = np.random.default_rng(seed)
     coeffs = {}
     for n in orders:
-        data = rng.standard_normal((3,) * n) + 1j * rng.standard_normal((3,) * n)
-        coeffs[n] = Kernel(GRID, n, data)
-    return ChaosElement(GRID, coeffs)
+        shape = (grid.cells,) * n
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs[n] = Kernel(grid, n, data)
+    return ChaosElement(grid, coeffs)
 
 
 def close(X, Y, tol=1e-9):
@@ -198,6 +205,74 @@ def test_semicircle_moments_from_product_formula():
     # scaled: I_1(c e) ~ S(0, c^2)
     Y = from_kernel(1, 2.0 * e)
     assert complex(moment(Y, 4)) == pytest.approx(semicircle_moment(4.0, 4))
+
+
+def breuer_major_element(m):
+    """I_2 of the dense order-2 Breuer-Major kernel at H = 0.7, sample size m."""
+    cfg = BMConfig(n=2, H=0.7, m_list=(m,), normalization="exact_variance")
+    return from_kernel(2, vm_kernel(cfg, m))
+
+
+DEFAULT_CAP = grid_kernel.MAX_ENTRIES
+# orders 0..3 of the seeded complex elements on two cells
+MIXED_ORDERS = [(0, 1), (0, 3), (1, 2), (0, 1, 2), (1, 2, 3), (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_CAP, 2**10], ids=["default", "2^10"])
+def test_moment_matches_the_left_fold_and_refuses_what_it_refuses(cap, monkeypatch):
+    # the half-power route against X^k formed in full: the same value at
+    # 1e-12 relative, and MemoryCapError on exactly the same requests
+    grid = GridSpec(1.0, 2)
+    mixed = [rand_element(seed, orders, grid) for seed, orders in enumerate(MIXED_ORDERS)]
+    cases = [(f"mixed {X.orders}", X, k) for X in mixed for k in range(8)]
+    cases += [("m=8", breuer_major_element(8), k) for k in range(5)]
+    cases += [("m=10", breuer_major_element(10), k) for k in range(7)]
+    monkeypatch.setattr(grid_kernel, "MAX_ENTRIES", cap)
+    refused = []
+    for label, X, k in cases:
+        try:
+            want = fold_moment(X, k)
+        except MemoryCapError:
+            with pytest.raises(MemoryCapError):
+                moment(X, k)
+            refused.append((label, k))
+            continue
+        got = moment(X, k)
+        assert abs(got - want) <= 1e-12 * abs(want), (label, k, got, want)
+    assert refused and len(refused) < len(cases)
+    # m = 10 at k = 4 is refused at the default cap, m = 8 is not
+    assert cap != DEFAULT_CAP or (("m=10", 4) in refused and ("m=8", 4) not in refused)
+
+
+def test_moment_never_forms_the_power_it_traces():
+    X = breuer_major_element(8)
+    tracemalloc.start()
+    try:
+        moment(X, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # X^4 alone would be a 2^24-entry order-8 kernel, 128 MiB
+    assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("k", [10**9, 10**9 + 1])
+def test_moment_of_an_order_zero_element_takes_log_k_products(k, monkeypatch):
+    # no cap bounds an element without a term of order >= 1, so only the
+    # route itself bounds its number of products; the count is checked at
+    # each call, so a route linear in k fails at once instead of running
+    limit = 2 * math.ceil(math.log2(k))
+    calls = []
+
+    def counted(X, Y):
+        calls.append(None)
+        assert len(calls) <= limit, "more than 2 log2 k products"
+        return multiply(X, Y)
+
+    monkeypatch.setattr(chaos, "multiply", counted)
+    assert moment(one(GRID), k) == 1
+    calls.clear()
+    assert moment(ChaosElement(GRID, {}), k) == 0
 
 
 def test_fourth_moment_gap_matches_contraction_sum_and_moment():

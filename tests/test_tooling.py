@@ -9,9 +9,11 @@ keys of a public dict parameter, to the package's one integer check; the
 over-cap table holds every public function whose size decides an
 allocation to a ``MemoryCapError`` before its first array; the next holds
 every tolerance and Hurst index to a check that refuses text, bools and
-None.  The last two keep the copying constructor ``Kernel(...)``
-at the package's boundary, and check that what the package builds, which
-enters through ``_wrap``, is the kernel that constructor would have made.
+None.  ``chaos.moment`` is held bit for bit to the benchmark's
+``product_trace``, so the benchmark's two moment routes time one result.
+The last two keep the copying constructor ``Kernel(...)`` at the
+package's boundary, and check that what the package builds, which enters
+through ``_wrap``, is the kernel that constructor would have made.
 """
 
 import ast
@@ -103,6 +105,20 @@ def test_every_benchmark_item_passes_its_checks(workload, tmp_path):
     items = workloads.build(workload, 1, refs, str(tmp_path))
     assert items
     assert [msg for item in items for msg in item.run()] == []
+
+
+@pytest.mark.parametrize("m", [8, 10])
+def test_moment_equals_the_benchmark_product_trace_bit_for_bit(m, monkeypatch):
+    # the benchmark's second moment route times what moment computes; at
+    # k = 6 (and k = 4 on m = 10) moment's door refuses X^k, so only that
+    # door is lifted: every product still meets the cap
+    workloads = load_perfbench("workloads")
+    _, elements = workloads.moments_setup()
+    monkeypatch.setattr(wignerchaos.chaos, "_require_capacity", lambda cells, order: None)
+    for k in (2, 4, 6):
+        assert wignerchaos.chaos.moment(elements[m], k) == workloads.product_trace(
+            elements[m], k
+        ), k
 
 
 def test_every_all_name_resolves():
@@ -259,6 +275,10 @@ def over_cap_calls():
         ("breuer_major", "increment_kernels"): {"H": 0.3, "m": 512},
         ("breuer_major", "sigma2"): {"n": 2, "H": 0.3, "K": 2**18},
         ("breuer_major", "vm_kernel"): {"cfg": cfg, "m": 512},
+        # X^2 has order 4 on 32 cells: 8 MiB
+        ("chaos", "moment"): {
+            "X": from_kernel(2, Kernel(small.grid, 2, np.ones((32, 32)))), "k": 2
+        },
         ("grid_kernel", "Kernel"): {"grid": big, "order": 2, "data": np.zeros(1)},
         ("grid_kernel", "bicontract"): {"f": w, "g": w, "p": 0, "r": 0},
         ("grid_kernel", "contract"): {"f": small, "g": small, "p": 0},
