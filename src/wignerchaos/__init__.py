@@ -66,17 +66,14 @@ from .gradient import (
     BoundReport,
     bound_report,
     closed_form_lhs,
-    coefficient_c,
     gradient,
     gradient_quadratic_form,
     main_bound_lhs,
-    number_inverse,
 )
 from .breuer_major import (
     BMConfig,
     BMResult,
     alpha,
-    chebyshev_U,
     gap_fast,
     increment_kernels,
     rate_fit,

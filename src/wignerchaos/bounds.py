@@ -20,7 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .grid_kernel import _require_int
+from .grid_kernel import _is_real, _require_int
 
 __all__ = [
     "ConstantsRow",
@@ -44,6 +44,7 @@ def P(n: int, u) -> float:
     are converted first, since int64 products overflow near n = 20000.
     """
     _require_int("n", n, 2)
+    _require_real_u(u)
     n = int(n)
     if isinstance(u, numbers.Integral):
         u = int(u)
@@ -54,9 +55,16 @@ def P(n: int, u) -> float:
 def P_prime(n: int, u: float) -> float:
     """dP_n/du, from the product rule with w = n - u (dw/du = -1)."""
     _require_int("n", n, 2)
+    _require_real_u(u)
     w = n - u
     q = 2.0 * w * w + 4.0 * w + 3.0
     return (2.0 * u * (w + 1.0) * q - u * u * (q + 4.0 * (w + 1.0) ** 2)) / 3.0
+
+
+def _require_real_u(u) -> None:
+    # True would pass as 1 and give P_n(1)
+    if not _is_real(u):
+        raise ValueError(f"u must be a real number, got {u!r}")
 
 
 def u0(n: int) -> float:
@@ -120,21 +128,22 @@ def _constants_row(n: int) -> ConstantsRow:
 def dc2_bound_from_gap(n: int, gap: float) -> float:
     """Distance bound (sqrt(C_n)/2) * sqrt(phi(F^4) - 2).
 
-    nan is refused; inf passes and gives inf, as main_bound_lhs does on
-    overflow.
+    nan, bools, text and None are refused; inf passes and gives inf, as
+    main_bound_lhs does on overflow.
     """
-    if not gap >= 0:
-        raise ValueError("gap must be >= 0")
+    if not (_is_real(gap) and gap >= 0):
+        raise ValueError(f"gap must be >= 0, got {gap!r}")
     return 0.5 * math.sqrt(C(n).c_n) * math.sqrt(gap)
 
 
 def dc2_bound_from_lhs(lhs: float) -> float:
     """Distance bound (1/2) * sqrt(lhs) via Cauchy-Schwarz on the bi-norm.
 
-    nan is refused; inf, which main_bound_lhs returns on overflow, passes.
+    nan, bools, text and None are refused; inf, which main_bound_lhs
+    returns on overflow, passes.
     """
-    if not lhs >= 0:
-        raise ValueError("lhs must be >= 0")
+    if not (_is_real(lhs) and lhs >= 0):
+        raise ValueError(f"lhs must be >= 0, got {lhs!r}")
     return 0.5 * math.sqrt(lhs)
 
 
@@ -148,8 +157,11 @@ def catalan(k: int) -> int:
 
 
 def semicircle_moment(t: float, k: int) -> float:
-    """Moments of the centered semicircular law with variance t."""
-    if not 0 < t < math.inf:  # nan fails the comparison too
+    """Moments of the centered semicircular law with variance t.
+
+    t must be a finite real number > 0; bools, text and None are refused.
+    """
+    if not (_is_real(t) and 0 < t < math.inf):  # nan fails the comparison too
         raise ValueError(f"t must be > 0 and finite, got {t!r}")
     _require_int("k", k, 0)
     if k % 2 == 1:

@@ -49,7 +49,6 @@ __all__ = [
     "BMConfig",
     "BMResult",
     "alpha",
-    "chebyshev_U",
     "gap_fast",
     "increment_kernels",
     "rate_fit",
@@ -325,26 +324,22 @@ def _trace_abab(a: np.ndarray, b: np.ndarray) -> float:
 def _cholesky_factor(H: float, m: int) -> np.ndarray:
     """Lower Cholesky factor L of the covariance: row k of L is increment k.
 
-    A small diagonal jitter is tried before giving up on non-PSD input.
+    The covariance is factored once, as it is: L @ L.T reproduces it up to
+    factorization rounding, or LinAlgError is raised.  Nothing is added to
+    the diagonal, since a factor of a shifted covariance would break the
+    Gram identity the increments promise.  The (H, m) that vm_kernel
+    admits factor (at H = 0.999 and m = 2048 the smallest pivot is 0.069);
+    the factorization fails at H = 1 - 1e-9 from m = 1024 on.
     Unvalidated: its callers have checked H, m and the cap on the m x m
     covariance and factor (vm_kernel through its config and the cap on
     m^n, n >= 2; increment_kernels at its own door).
     """
-    r = _rho_lags(H, m)
-    cov = _toeplitz(r)
     try:
-        return np.linalg.cholesky(cov)
+        return np.linalg.cholesky(_toeplitz(_rho_lags(H, m)))
     except np.linalg.LinAlgError:
-        cov = np.array(cov)  # one writable copy for the jittered retries
-    for jitter in (1e-12, 1e-10, 1e-8):
-        np.fill_diagonal(cov, r[0] + jitter)
-        try:
-            return np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError(
-        f"covariance for H={H}, m={m} is not positive semidefinite"
-    )
+        raise np.linalg.LinAlgError(
+            f"covariance for H={H}, m={m} is not positive semidefinite"
+        ) from None
 
 
 def increment_kernels(H: float, m: int) -> list[Kernel]:
@@ -352,9 +347,10 @@ def increment_kernels(H: float, m: int) -> list[Kernel]:
 
     Rows of the Cholesky factor of the Toeplitz covariance; their inner
     products reproduce rho_H(|i-j|) exactly up to factorization rounding.
-    These are the paper's increments as single integrals.  vm_kernel reads
-    the factor directly; the tests check the Gram identity here, and the
-    benchmark's tracer wraps this binding.
+    The diagonal is never shifted: the Gram identity holds, or LinAlgError
+    is raised.  These are the paper's increments as single integrals.
+    vm_kernel reads the factor directly; the tests check the Gram identity
+    here, and the benchmark's tracer wraps this binding.
     """
     _require_hurst(H)
     _require_int("m", m, 1)
@@ -364,28 +360,15 @@ def increment_kernels(H: float, m: int) -> list[Kernel]:
     return [Kernel._wrap(grid, L[i].copy()) for i in range(m)]
 
 
-def chebyshev_U(n: int, x: float) -> float:
-    """Chebyshev polynomials for the semicircle: U_{k+1} = x U_k - U_{k-1}.
-
-    The paper's transform of the increments.  vm_kernel never evaluates it:
-    U_n(I_1(f)) = I_n(f^{(x) n}) for a unit f lets it build the kernel
-    directly.  It stays as the definition, checked by the tests.
-    """
-    _require_int("n", n, 0)
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, float(x)
-    for _ in range(n - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
-
-
 def vm_kernel(cfg: BMConfig, m: int) -> Kernel:
     """The order-n kernel of the normalized Chebyshev sum at sample size m.
 
-    The unnormalized kernel sum_k L[k]^{(x) n} is one matrix product
-    K^T L, where L is the Cholesky factor (row k is increment k) and row k
-    of K is the (n-1)-fold Kronecker power of L[k]; for n = 2 it is L^T L.
+    The Chebyshev polynomial U_n of a unit increment I_1(f) is
+    I_n(f^{(x) n}), so the sum is built as a kernel and U_n is never
+    evaluated.  The unnormalized kernel sum_k L[k]^{(x) n} is one matrix
+    product K^T L, where L is the Cholesky factor (row k is increment k)
+    and row k of K is the (n-1)-fold Kronecker power of L[k]; for n = 2 it
+    is L^T L.
     The grid has cell width 1, so the L2 norm of the raw kernel is the
     Euclidean norm of its entries.  Any m >= 1 is accepted, as in gap_fast.
     H was checked by the config, and the cap on the order-n kernel also

@@ -1,4 +1,4 @@
-"""Free gradient, number-operator pseudo-inverse, and the quadratic form.
+"""Free gradient and the quadratic form of the fourth-moment bound.
 
 The gradient of a single integral is the biprocess
 
@@ -40,14 +40,13 @@ import numpy as np
 
 from . import bounds
 from .bichaos import BiChaosElement
-from .chaos import ChaosElement, _contraction_norms2
+from .chaos import _contraction_norms2
 from .grid_kernel import (
     Kernel,
     SplitKernel,
     _bicontract_array,
     _require_capacity,
     _require_finite,
-    _require_int,
     _require_order,
     _require_unit_kernel,
     _window_matrix,
@@ -61,11 +60,9 @@ __all__ = [
     "BoundReport",
     "bound_report",
     "closed_form_lhs",
-    "coefficient_c",
     "gradient",
     "gradient_quadratic_form",
     "main_bound_lhs",
-    "number_inverse",
 ]
 
 
@@ -80,17 +77,6 @@ def gradient(n: int, f: Kernel, s: int) -> BiChaosElement:
     _require_order(n, f, 1)
     slices = (slice_kernel(f, k, s) for k in range(1, n + 1))
     return BiChaosElement._sum_by_key(f.grid, slices)
-
-
-def number_inverse(X: ChaosElement) -> ChaosElement:
-    """Pseudo-inverse of the number operator: order n -> 1/n, constants -> 0.
-
-    N0^{-1} of the paper's quadratic form.  On a single integral it is the
-    factor 1/n that the library folds into the weights q/n of Q.
-    """
-    return ChaosElement(
-        X.grid, {n: f * (1.0 / n) for n, f in X.coeffs.items() if n >= 1}
-    )
 
 
 def _quadratic_form_slots(n: int, f: Kernel):
@@ -206,29 +192,16 @@ def main_bound_lhs(n: int, f: Kernel) -> float:
     return total
 
 
-def coefficient_c(u: int, v: int, n: int) -> int:
-    """Multiplicity of I_{v} (x) I_{2(n-u)-v}(f contract_u f) in the expansion.
-
-    Counts quadruples (p, r, k, q) with p + r = u - 1, k + q = v,
-    0 <= k, q <= n - 1 - p - r; closed form u(v+1) for v <= n-u and
-    u(2(n-u)-v+1) above, symmetric under v -> 2(n-u) - v.
-    """
-    _require_int("n", n, 2)
-    _require_int("u", u, 1, n - 1)
-    _require_int("v", v, 0, 2 * (n - u))
-    if v <= n - u:
-        return u * (v + 1)
-    return u * (2 * (n - u) - v + 1)
-
-
 def closed_form_lhs(n: int, f: Kernel, tol: float = 1e-9) -> float:
     """(1/n^2) sum_u P_n(u) ||f contract_u f||^2, for fully symmetric unit f.
 
-    P_n(u) = sum_v coefficient_c(u, v, n)^2.  Upper-bounds main_bound_lhs:
-    the expansion of the quadratic form groups, for each contraction order
-    u and each split (v, 2(n-u)-v), several axis arrangements of the same
-    kernel f contract_u f, and this formula counts them as if they were
-    identical tensors.  For n = 2 they are (a matrix product of symmetric
+    P_n(u) = sum_v c_n(u, v)^2, where c_n(u, v) = u (min(v, 2(n-u) - v) + 1)
+    counts the terms of the quadratic form that carry f contract_u f in
+    the split (v, 2(n-u)-v); the tests keep that count as the oracle of
+    bounds.P.  Upper-bounds main_bound_lhs: the expansion of the quadratic
+    form groups, for each contraction order u and each split, several axis
+    arrangements of the same kernel f contract_u f, and this formula
+    counts them as if they were identical tensors.  For n = 2 they are (a matrix product of symmetric
     matrices equals its transpose) and the bound is an equality; for
     n >= 3 the arrangements differ and it is strict on generic input.
     The order of f, its full symmetry and its unit norm (within tol) are

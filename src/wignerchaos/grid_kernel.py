@@ -703,14 +703,24 @@ def kernel_from_json(obj: dict) -> Kernel:
     """Inverse of kernel_to_json; any malformed record raises ValueError.
 
     The record stores complex entries, so the kernel is complex128 even
-    when every imaginary part is zero.
+    when every imaginary part is zero.  The order, the cap and the lengths
+    of ``re`` and ``im`` are checked before any array is made of them.
     """
     try:
         grid = GridSpec(obj["total_length"], obj["cells"])
-        order = obj["order"]
-        re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
+        order, re, im = obj["order"], obj["re"], obj["im"]
+        lengths = (len(re), len(im))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed kernel record: {exc!r}") from None
+    _require_int("order", order, 0)
+    _require_capacity(grid.cells, order)
+    size = grid.cells**order
+    if lengths != (size, size):
+        raise ValueError(
+            f"re and im have {lengths[0]} and {lengths[1]} entries, expected "
+            f"{size} for order {order} on {grid.cells} cells"
+        )
+    re, im = np.asarray(re), np.asarray(im)
     for name, part in (("re", re), ("im", im)):
         # no forced dtype, so strings, bools and nested lists show as such
         if part.ndim != 1 or part.dtype.kind not in "iuf":
@@ -721,8 +731,6 @@ def kernel_from_json(obj: dict) -> Kernel:
         # a bool among numbers is coerced to a number, so look for it
         if any(isinstance(x, (bool, np.bool_)) for x in obj[name]):
             raise ValueError(f"{name} must be a flat list of numbers, got a bool entry")
-    if re.shape != im.shape:
-        raise ValueError(f"re has shape {re.shape} but im has shape {im.shape}")
     data = re.astype(np.complex128)
     data.imag = im  # re + 1j * im would warn on an infinite im
     return Kernel(grid, order, data)

@@ -11,13 +11,31 @@ before it took powers of the moment prefix with ``np.convolve``.
 
 ``fold_moment`` is the left fold ``chaos.moment`` used before it took the
 trace of two half powers: it builds every power X^2, ..., X^k in full.
+
+Three of the paper's definitions, which the library folds away, are kept
+here by their definitions:
+
+* ``number_inverse`` is N0^{-1}, order n -> 1/n; the cell-by-cell oracle of
+  the quadratic form builds its left factor with it, where the library
+  folds 1/n into the weights q/n;
+* ``coefficient_c`` counts the terms of the quadratic form that carry
+  f contract_u f in one split; its squares sum to ``bounds.P``;
+* ``chebyshev_U`` is the three-term recurrence of the Chebyshev
+  polynomials; U_n(I_1(e)) = I_n(e^{(x) n}) for a unit e checks the
+  kernel ``breuer_major.vm_kernel`` builds without evaluating U_n.
 """
 
 import numpy as np
 
 from wignerchaos.bichaos import BiChaosElement
 from wignerchaos.chaos import ChaosElement, multiply, trace
-from wignerchaos.grid_kernel import Kernel, SplitKernel, adjoint_split, bicontract
+from wignerchaos.grid_kernel import (
+    Kernel,
+    SplitKernel,
+    _require_int,
+    adjoint_split,
+    bicontract,
+)
 
 
 def slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
@@ -70,3 +88,45 @@ def fold_moment(X: ChaosElement, k: int) -> complex:
     for _ in range(k - 1):
         acc = multiply(acc, X)
     return trace(acc)
+
+
+def number_inverse(X: ChaosElement) -> ChaosElement:
+    """Pseudo-inverse of the number operator: order n -> 1/n, constants -> 0.
+
+    N0^{-1} of the paper's quadratic form.  On a single integral it is the
+    factor 1/n that the library folds into the weights q/n of Q.
+    """
+    return ChaosElement(
+        X.grid, {n: f * (1.0 / n) for n, f in X.coeffs.items() if n >= 1}
+    )
+
+
+def coefficient_c(u: int, v: int, n: int) -> int:
+    """Multiplicity of I_{v} (x) I_{2(n-u)-v}(f contract_u f) in the expansion.
+
+    Counts quadruples (p, r, k, q) with p + r = u - 1, k + q = v,
+    0 <= k, q <= n - 1 - p - r; closed form u(v+1) for v <= n-u and
+    u(2(n-u)-v+1) above, symmetric under v -> 2(n-u) - v.
+    """
+    _require_int("n", n, 2)
+    _require_int("u", u, 1, n - 1)
+    _require_int("v", v, 0, 2 * (n - u))
+    if v <= n - u:
+        return u * (v + 1)
+    return u * (2 * (n - u) - v + 1)
+
+
+def chebyshev_U(n: int, x: float) -> float:
+    """Chebyshev polynomials for the semicircle: U_{k+1} = x U_k - U_{k-1}.
+
+    The paper's transform of the increments.  vm_kernel never evaluates it:
+    U_n(I_1(f)) = I_n(f^{(x) n}) for a unit f lets it build the kernel
+    directly.  It stays as the definition, checked by the tests.
+    """
+    _require_int("n", n, 0)
+    if n == 0:
+        return 1.0
+    prev, cur = 1.0, float(x)
+    for _ in range(n - 1):
+        prev, cur = cur, x * cur - prev
+    return cur

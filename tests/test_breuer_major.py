@@ -3,13 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import chebyshev_U
 
 from wignerchaos import breuer_major, grid_kernel
 from wignerchaos.bounds import dc2_bound_from_gap
 from wignerchaos.breuer_major import (
     BMConfig,
     alpha,
-    chebyshev_U,
     gap_fast,
     increment_kernels,
     rate_fit,
@@ -386,38 +386,41 @@ def test_hurst_index_is_checked_before_the_covariance(H):
             call()
 
 
-def _failing_cholesky(monkeypatch, failures):
-    real = np.linalg.cholesky
+def test_cholesky_factor_calls_cholesky_once_and_raises(monkeypatch):
+    # a failed factorization used to be retried with three diagonal jitters
     calls = []
 
     def cholesky(a):
         calls.append(a)
-        if len(calls) <= failures:
-            raise np.linalg.LinAlgError("forced")
-        return real(a)
+        raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(breuer_major.np.linalg, "cholesky", cholesky)
-    return calls
-
-
-def test_cholesky_retry_factors_the_jittered_covariance(monkeypatch):
-    H, m = 0.7, 12
-    calls = _failing_cholesky(monkeypatch, 1)
-    L = breuer_major._cholesky_factor(H, m)
-    cov = np.array([[rho(H, i - j) for j in range(m)] for i in range(m)])
-    assert len(calls) == 2
-    assert np.allclose(L @ L.T, cov + 1e-12 * np.eye(m), rtol=0.0, atol=1e-14)
-    assert np.array_equal(calls[1], calls[0] + 1e-12 * np.eye(m))
-
-
-def test_cholesky_gives_up_after_the_largest_jitter(monkeypatch):
-    calls = _failing_cholesky(monkeypatch, math.inf)
     with pytest.raises(
         np.linalg.LinAlgError,
         match=r"^covariance for H=0\.7, m=12 is not positive semidefinite$",
     ):
         breuer_major._cholesky_factor(0.7, 12)
-    assert len(calls) == 4
+    assert len(calls) == 1
+
+
+def test_increment_kernels_near_one_raise_instead_of_jittering():
+    # the covariance at H = 1 - 1e-9 does not factor; 1024 kernels with a
+    # Gram diagonal of 1 + 1e-8 used to come back from a jittered factor
+    with pytest.raises(
+        np.linalg.LinAlgError,
+        match=r"^covariance for H=0\.999999999, m=1024 is not positive semidefinite$",
+    ):
+        increment_kernels(1 - 1e-9, 1024)
+
+
+@pytest.mark.parametrize("H", [0.749, 0.98, 0.999])
+def test_cholesky_factor_reproduces_the_covariance(H):
+    # past 51/52, the largest H summability and the cap allow vm_kernel
+    m = 2048
+    L = breuer_major._cholesky_factor(H, m)
+    lags = np.arange(m)
+    cov = breuer_major._rho_lags(H, m)[np.abs(lags[:, None] - lags[None, :])]
+    assert np.max(np.abs(L @ L.T - cov)) <= 1e-12
 
 
 def test_increment_kernels_refuse_over_cap_before_allocating(monkeypatch):

@@ -14,6 +14,7 @@ from importlib import import_module
 
 import numpy as np
 import pytest
+from oracles import coefficient_c, number_inverse
 
 from wignerchaos.bichaos import adjoint, bitrace, norm2, one_tensor_one, sharp_multiply
 from wignerchaos.bounds import C, P
@@ -21,11 +22,9 @@ from wignerchaos.chaos import fourth_moment_gap, from_kernel
 from wignerchaos.gradient import (
     bound_report,
     closed_form_lhs,
-    coefficient_c,
     gradient,
     gradient_quadratic_form,
     main_bound_lhs,
-    number_inverse,
 )
 from wignerchaos.grid_kernel import (
     GridSpec,
@@ -48,7 +47,7 @@ gradient_module = import_module("wignerchaos.gradient")
 
 def quadratic_form_by_cells(n, f):
     # the defining cell loop: h * sum_s grad_s(N0^{-1} f) # (grad_s f)*
-    left_kernel = f * (1.0 / n)
+    left_kernel = number_inverse(from_kernel(n, f)).coeffs[n]
     acc = None
     for s in range(f.grid.cells):
         left = gradient(n, left_kernel, s)

@@ -742,6 +742,23 @@ def test_json_rejects_huge_order_before_allocating():
             kernel_from_json(doc)
 
 
+def test_json_refuses_a_wrong_length_before_reading_the_entries():
+    # the lists used to be converted first: a record of 2 cells, order 1
+    # and 2**18 entries made two 2 MiB arrays before its length was refused
+    entries = [0.0] * 2**18
+    message = r"^re and im have \d+ and \d+ entries, expected 2 for order 1 on 2 cells$"
+    for re, im in ((entries, entries), ([0.0, 0.0], entries), (entries, [0.0, 0.0])):
+        record = {"total_length": 1.0, "cells": 2, "order": 1, "re": re, "im": im}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                kernel_from_json(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
 def test_json_roundtrip():
     f = rand(2, seed=30)
     doc = json.loads(json.dumps(kernel_to_json(f)))

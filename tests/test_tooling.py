@@ -3,13 +3,14 @@
 ``perfbench/tracing.py`` wraps module bindings by name, so a deleted or
 renamed function breaks ``perfbench/run.py --trace 1`` only when the
 benchmark runs.  These tests catch that, a stale ``__all__`` or
-re-export, and a benchmark item whose checks fail, in the tier-1 suite.  The
-integer test holds every public integer parameter, and every integer in the
-keys of a public dict parameter, to the package's one integer check; the
-over-cap table holds every public function whose size decides an
-allocation to a ``MemoryCapError`` before its first array; the next holds
-every tolerance and Hurst index to a check that refuses text, bools and
-None.  ``chaos.moment`` is held bit for bit to the benchmark's
+re-export, a test oracle named in the package, and a benchmark item whose
+checks fail, in the tier-1 suite.  The integer test holds every public
+integer parameter, and every integer in the keys of a public dict
+parameter, to the package's one integer check; the over-cap table holds
+every public function whose size decides an allocation to a
+``MemoryCapError`` before its first array; the next holds every
+tolerance, Hurst index and real argument of the bound constants to a
+check that refuses text, bools and None.  ``chaos.moment`` is held bit for bit to the benchmark's
 ``product_trace``, so the benchmark's two moment routes time one result.
 The last two keep the copying constructor ``Kernel(...)`` at the
 package's boundary, and check that what the package builds, which enters
@@ -139,6 +140,18 @@ def test_every_package_reexport_resolves():
             assert getattr(wignerchaos, alias.name) is getattr(source, alias.name), alias.name
 
 
+def test_no_test_oracle_is_public():
+    # an oracle kept in the tests is the second route of its quantity; named
+    # in the package again, it would be a third
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    oracles = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"number_inverse", "coefficient_c", "chebyshev_U"} <= oracles
+    public = set(vars(wignerchaos))
+    for module in package_modules():
+        public |= set(getattr(module, "__all__", ()))
+    assert not oracles & public
+
+
 # cli's boundary is argv, checked by its converters; the records are results
 UNCHECKED_MODULES = {"cli"}
 RECORDS = {"ConstantsRow", "BoundReport", "BMResult"}
@@ -200,7 +213,6 @@ def valid_calls():
         ("bounds", "u0"): {"n": 3},
         ("breuer_major", "BMConfig"): {"n": 2, "H": 0.3, "m_list": (4,), "truncation": 9},
         ("breuer_major", "alpha"): {"n": 2, "H": 0.3},
-        ("breuer_major", "chebyshev_U"): {"n": 3, "x": 0.5},
         ("breuer_major", "gap_fast"): {"cfg": cfg, "m": 4},
         ("breuer_major", "increment_kernels"): {"H": 0.3, "m": 4},
         ("breuer_major", "rho"): {"H": 0.3, "k": -2},
@@ -214,7 +226,6 @@ def valid_calls():
         ("chaos", "spectral_moments"): {"g": f, "k_max": 4},
         ("gradient", "bound_report"): {"n": 2, "f": f},
         ("gradient", "closed_form_lhs"): {"n": 2, "f": f},
-        ("gradient", "coefficient_c"): {"u": 1, "v": 0, "n": 3},
         ("gradient", "gradient"): {"n": 2, "f": f, "s": 2},
         ("gradient", "gradient_quadratic_form"): {"n": 2, "f": f},
         ("gradient", "main_bound_lhs"): {"n": 2, "f": f},
@@ -269,6 +280,7 @@ def over_cap_calls():
     w = SplitKernel(small, (1, 1))
     cfg = BMConfig(n=2, H=0.3, m_list=(4,), truncation=100)
     big = GridSpec(1.0, 512)  # order 2: 2 MiB
+    entries = [0.0] * 512**2  # read as an array of 2 MiB
     return {
         ("breuer_major", "BMConfig"): {"n": 2, "H": 0.3, "m_list": (4, 2**13), "truncation": 100},
         ("breuer_major", "gap_fast"): {"cfg": cfg, "m": 2**13},  # a 4 MiB block buffer
@@ -283,6 +295,9 @@ def over_cap_calls():
         ("grid_kernel", "bicontract"): {"f": w, "g": w, "p": 0, "r": 0},
         ("grid_kernel", "contract"): {"f": small, "g": small, "p": 0},
         ("grid_kernel", "kernel_from_bytes"): {"buf": kernel_to_bytes(zero_kernel(big, 2))},
+        ("grid_kernel", "kernel_from_json"): {"obj": {
+            "total_length": 1.0, "cells": 512, "order": 2, "re": entries, "im": entries
+        }},
         ("grid_kernel", "zero_kernel"): {"grid": big, "order": 2},
         ("workloads", "counterexample_kernel"): {"N": 64},
         ("workloads", "random_symmetric_unit_kernel"): {
@@ -310,8 +325,9 @@ def test_every_sized_public_function_refuses_over_cap_before_allocating(
     assert peak < 2**20, peak
 
 
-# the parameters that carry a tolerance or a Hurst index
-REAL_PARAMETERS = ("tol", "rtol", "atol", "H")
+# the parameters that carry a tolerance, a Hurst index or a real argument
+# of the bound constants
+REAL_PARAMETERS = ("tol", "rtol", "atol", "H", "t", "gap", "lhs", "u")
 
 
 def test_every_public_tolerance_and_hurst_parameter_is_checked():
@@ -319,12 +335,13 @@ def test_every_public_tolerance_and_hurst_parameter_is_checked():
     f = random_symmetric_unit_kernel(GridSpec(1.0, 3), 2, 0, 0)
     calls = {
         **valid_calls(),
+        ("bounds", "dc2_bound_from_lhs"): {"lhs": 0.1},
         ("chaos", "fourth_moment_gap"): {"f": f},
         ("grid_kernel", "is_mirror_symmetric"): {"f": f},
         ("grid_kernel", "is_symmetric"): {"f": f},
         ("grid_kernel", "kernels_close"): {"f": f, "g": f},
     }
-    assert len(found) == 13
+    assert len(found) == 18
     for module, name, param in sorted(found):
         fn = getattr(import_module(f"wignerchaos.{module}"), name)
         kwargs = calls[(module, name)]
