@@ -151,12 +151,18 @@ def _require_lag_entries(name: str, size: int, entries: int) -> None:
 
 
 def rho(H: float, k: int) -> float:
-    """Autocovariance of unit-step fractional increments at lag k (of either sign)."""
+    """Autocovariance of unit-step fractional increments at lag k (of either sign).
+
+    The three powers are taken by numpy, as in ``_rho_lags``, so both give
+    the same bits at every lag: Python's scalar ``**`` differs from numpy's
+    in the last place, which the subtraction magnifies (3.7e-9 at H = 0.98
+    and lags near 4096).
+    """
     _require_hurst(H)
     _require_int("k", k, -math.inf)
     k = float(abs(k))
-    e = 2 * H
-    return float(_rho_from_powers((k + 1) ** e, abs(k - 1) ** e, k**e))
+    up, down, mid = np.array([k + 1, abs(k - 1), k]) ** (2 * H)
+    return float(_rho_from_powers(up, down, mid))
 
 
 def _rho_from_powers(up, down, mid):
@@ -197,6 +203,20 @@ def sigma2_tail_bound(n: int, H: float, K: int) -> float:
     a = 2.0 * H * abs(2.0 * H - 1.0)
     decay = n * (2.0 - 2.0 * H) - 1.0  # > 0 under the summability condition
     return 2.0 * a**n * K**(-decay) / decay
+
+
+def _variance(cfg: BMConfig, r: np.ndarray) -> float:
+    """V, the squared norm of the unnormalized sum scaled as cfg says, at m = len(r).
+
+    r holds the lags rho_H(0..m-1).  Under exact_variance V is the sum of
+    the entries of R^n, m r_0^n + 2 sum_{d=1}^{m-1} (m-d) r_d^n, an O(m)
+    sum over lags; under asymptotic_sigma it is sigma^2 m.
+    """
+    m = len(r)
+    if cfg.normalization == "exact_variance":
+        weights = np.arange(m - 1, 0, -1, dtype=np.float64)  # m - d, d = 1..m-1
+        return float(m * r[0] ** cfg.n + 2.0 * np.dot(weights, r[1:] ** cfg.n))
+    return cfg.limit_variance * m
 
 
 def _toeplitz(r: np.ndarray) -> np.ndarray:
@@ -369,11 +389,13 @@ def vm_kernel(cfg: BMConfig, m: int) -> Kernel:
     product K^T L, where L is the Cholesky factor (row k is increment k)
     and row k of K is the (n-1)-fold Kronecker power of L[k]; for n = 2 it
     is L^T L.
-    The grid has cell width 1, so the L2 norm of the raw kernel is the
-    Euclidean norm of its entries.  Any m >= 1 is accepted, as in gap_fast.
-    H was checked by the config, and the cap on the order-n kernel also
-    covers the m x m factor.  Under asymptotic_sigma the limit variance
-    needs no check: for n >= 2 it is at least 1 - 2^(1-n) >= 1/2.
+    The kernel is divided by sqrt(V), with V from ``_variance``, the one
+    route gap_fast uses too: on the cell-width-1 grid the squared norm of
+    the raw kernel is the sum of the entries of R^n, so under
+    exact_variance the result has unit norm.  Any m >= 1 is accepted, as
+    in gap_fast.  H was checked by the config, and the cap on the order-n
+    kernel also covers the m x m factor.  Under asymptotic_sigma the limit
+    variance needs no check: for n >= 2 it is at least 1 - 2^(1-n) >= 1/2.
     """
     _require_int("m", m, 1)
     _require_capacity(m, cfg.n)
@@ -382,10 +404,7 @@ def vm_kernel(cfg: BMConfig, m: int) -> Kernel:
     for _ in range(cfg.n - 2):
         K = (K[:, :, None] * L[:, None, :]).reshape(m, -1)
     raw = (K.T @ L).reshape((m,) * cfg.n)
-    if cfg.normalization == "exact_variance":
-        scale = 1.0 / math.sqrt(np.vdot(raw, raw))
-    else:
-        scale = 1.0 / (math.sqrt(cfg.limit_variance) * math.sqrt(m))
+    scale = 1.0 / math.sqrt(_variance(cfg, _rho_lags(cfg.H, m)))
     return Kernel._wrap(GridSpec(float(m), m), raw * scale)
 
 
@@ -398,9 +417,10 @@ def gap_fast(cfg: BMConfig, m: int) -> float:
         gap = sum_{u=1}^{n-1} tr(A_u B_u A_u B_u) / V^2,
         A_u = R^u, B_u = R^(n-u)   (entrywise powers),
 
-    with V = sum(R^n) (exact_variance) or sigma^2 m (asymptotic_sigma), so
-    no order-n tensor is ever formed.  Three exact identities make it
-    O(m^2) in time and O(m) in memory:
+    with V = sum(R^n) (exact_variance) or sigma^2 m (asymptotic_sigma), the
+    ``_variance`` that vm_kernel divides by too, so no order-n tensor is
+    ever formed.  Three exact identities make it O(m^2) in time and O(m)
+    in memory:
 
     * fold: the terms u and n-u are equal (tr(ABAB) = tr(BABA)), so only
       u <= n/2 is summed, with weight 2 unless 2u = n;
@@ -422,17 +442,12 @@ def gap_fast(cfg: BMConfig, m: int) -> float:
     _require_lag_entries("m", m, _gap_entries(m))
     n = cfg.n
     r = _rho_lags(cfg.H, m)
-    if cfg.normalization == "exact_variance":
-        weights = np.arange(m - 1, 0, -1, dtype=np.float64)  # m - d, d = 1..m-1
-        variance = float(m * r[0] ** n + 2.0 * np.dot(weights, r[1:] ** n))
-    else:
-        variance = cfg.limit_variance * m
     powers = {v: r**v for v in range(1, n)}  # 2u = n passes one array twice
     total = 0.0
     for u in range(1, n // 2 + 1):
         weight = 1.0 if 2 * u == n else 2.0
         total += weight * _trace_abab(powers[u], powers[n - u])
-    return total / variance**2
+    return total / _variance(cfg, r) ** 2
 
 
 def alpha(n: int, H: float) -> float:
@@ -461,10 +476,10 @@ def rate_fit(cfg: BMConfig) -> BMResult:
         raise ValueError("nonpositive gap in sweep; cannot fit a log-log rate")
     logm = np.log(np.asarray(cfg.m_list, dtype=np.float64))
     logg = np.log(np.asarray(gaps))
-    slope = float(np.polyfit(logm, logg, 1)[0])
     running = [math.nan]
     for i in range(2, len(gaps) + 1):
         running.append(float(np.polyfit(logm[:i], logg[:i], 1)[0]))
+    slope = running[-1]  # the fit over every sample size
     a = alpha(cfg.n, cfg.H)
     dc2 = tuple(bounds.dc2_bound_from_gap(cfg.n, g) for g in gaps)
     return BMResult(

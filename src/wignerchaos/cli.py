@@ -6,7 +6,8 @@ is fully determined by its flags (plus an optional key=value config file;
 flags win, and both go through the same per-key converter), outputs carry
 a schema header with the effective configuration, and the exit status is
 1 exactly when one of the asserted identities fails beyond tolerance and
-2 on a bad flag, config value or parameter.
+2 on a bad flag, config value or parameter, or an ``--out`` that cannot be
+written.
 
 Each runner returns ``(fields, rows, summary, failures)``, its rows as
 tuples in ``fields`` order; ``main`` names their columns once, and both
@@ -375,6 +376,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader left: send the interpreter's final flush to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # an --out that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for failure in failures:
         print(f"ASSERTION FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -704,7 +704,11 @@ def kernel_from_json(obj: dict) -> Kernel:
 
     The record stores complex entries, so the kernel is complex128 even
     when every imaginary part is zero.  The order, the cap and the lengths
-    of ``re`` and ``im`` are checked before any array is made of them.
+    of ``re`` and ``im`` are checked first, then every entry is checked to
+    be a real number (not a bool, text, None or a list), all before any
+    array is made: numpy would size text entries by the longest one.  Only
+    then is one complex128 array built from them, where an integer beyond
+    float64 range is refused.
     """
     try:
         grid = GridSpec(obj["total_length"], obj["cells"])
@@ -720,18 +724,14 @@ def kernel_from_json(obj: dict) -> Kernel:
             f"re and im have {lengths[0]} and {lengths[1]} entries, expected "
             f"{size} for order {order} on {grid.cells} cells"
         )
-    re, im = np.asarray(re), np.asarray(im)
     for name, part in (("re", re), ("im", im)):
-        # no forced dtype, so strings, bools and nested lists show as such
-        if part.ndim != 1 or part.dtype.kind not in "iuf":
-            raise ValueError(
-                f"{name} must be a flat list of numbers, got {part.dtype} "
-                f"entries of shape {part.shape}"
-            )
-        # a bool among numbers is coerced to a number, so look for it
-        if any(isinstance(x, (bool, np.bool_)) for x in obj[name]):
-            raise ValueError(f"{name} must be a flat list of numbers, got a bool entry")
-    data = re.astype(np.complex128)
-    data.imag = im  # re + 1j * im would warn on an infinite im
+        # the built-in float test first keeps large records fast
+        if not all(type(x) is float or _is_real(x) for x in part):
+            raise ValueError(f"{name} must be a flat list of numbers")
+    try:
+        data = np.array(re, dtype=np.complex128)
+        data.imag = im  # re + 1j * im would warn on an infinite im
+    except (OverflowError, TypeError) as exc:  # an int beyond float64, a mapping
+        raise ValueError(f"re and im must be lists of float64 numbers: {exc}") from None
     return Kernel(grid, order, data)
 

@@ -263,6 +263,16 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_out_exits_two_without_traceback(tmp_path, capsys, where):
+    # it used to end in a traceback and exit 1, the status of a failed identity
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "a.csv"
+    code, stdout, err = run(capsys, "--out", str(out), "constants", "--n-max", "3")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+
+
 def test_config_file_overridden_by_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n-max = 4\nformat = json\n# comment\n")

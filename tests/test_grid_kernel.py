@@ -688,12 +688,13 @@ def test_binary_rejects_truncated_oversized_and_nonfinite_records():
 def test_json_rejects_malformed_records():
     good = kernel_to_json(rand(2, cells=2, seed=32))
     bad = [{k: v for k, v in good.items() if k != key} for key in good]
+    numbered = dict(enumerate(good["re"]))  # numeric keys of the right count
     for key, values in {
         "order": ("2", 2.0, True, None, -1),
         "cells": ("2", 2.0, True, None, 0),
         "total_length": ("1", None, math.nan, math.inf, 0.0, True),
-        "re": (good["re"][:-1], good["re"] + [0.0], [[0.0]], "x", {"a": 1}),
-        "im": (good["im"][:1], good["im"] + [0.0], None),
+        "re": (good["re"][:-1], good["re"] + [0.0], [[0.0]], "x", {"a": 1}, numbered),
+        "im": (good["im"][:1], good["im"] + [0.0], None, numbered),
     }.items():
         bad += [{**good, key: value} for value in values]
     for key in ("re", "im"):
@@ -722,6 +723,46 @@ def test_json_rejects_entries_that_are_not_a_flat_list_of_numbers(key, entries):
     good = kernel_to_json(rand(2, cells=2, seed=32))
     with pytest.raises(ValueError, match=f"^{key} must be a flat list of numbers"):
         kernel_from_json({**good, key: entries(good[key])})
+
+
+def _hostile_record():
+    # order 10 on 2 cells: 1024 entries, one of them 10,000 characters long,
+    # which an inferred dtype sizes every entry by (a 39 MiB array)
+    return {
+        "total_length": 1.0,
+        "cells": 2,
+        "order": 10,
+        "re": ["x" * 10_000] + ["1"] * 1023,
+        "im": [0.0] * 1024,
+    }
+
+
+@pytest.mark.parametrize(
+    "read, key",
+    [(kernel_from_json, None), (chaos_from_json, "10"), (bichaos_from_json, "5,5")],
+    ids=["kernel", "chaos", "bichaos"],
+)
+def test_json_refuses_text_entries_before_any_array(read, key):
+    # directly, and as the one kernel of an element record
+    record = _hostile_record()
+    if key is not None:
+        record = {"total_length": 1.0, "cells": 2, "kernels": {key: record}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^re must be a flat list of numbers"):
+            read(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_json_reads_an_integer_beyond_int64_and_refuses_one_beyond_float64():
+    record = {"total_length": 1.0, "cells": 2, "order": 1, "re": [2**64, 0], "im": [0, 0]}
+    assert kernel_from_json(record).data[0] == 1.8446744073709552e19
+    for key in ("re", "im"):
+        with pytest.raises(ValueError, match="int too large to convert to float"):
+            kernel_from_json({**record, key: [10**400, 0]})
 
 
 def test_json_reads_integer_entries():
