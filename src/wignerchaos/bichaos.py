@@ -23,11 +23,13 @@ from __future__ import annotations
 from .grid_kernel import (
     GridSpec,
     SplitKernel,
+    _bicontract_array,
     _check_same_grid,
+    _require_capacity,
     _require_int,
     _require_pair,
+    _window_matrix,
     adjoint_split,
-    bicontract,
     constant_kernel,
     contract,
     inner,
@@ -92,17 +94,39 @@ def tensor(A: ChaosElement, B: ChaosElement) -> BiChaosElement:
     return BiChaosElement(A.grid, coeffs)
 
 
+def _top_order(X: BiChaosElement) -> int:
+    return max((a + b for a, b in X.coeffs), default=0)
+
+
 def sharp_multiply(X: BiChaosElement, Y: BiChaosElement) -> BiChaosElement:
-    """Bilinear extension of the biproduct formula."""
+    """Bilinear extension of the biproduct formula.
+
+    As ``chaos.multiply``: the terms come in the order X's splits, Y's
+    splits, p, r ascending, each as the raw array ``bicontract`` would
+    wrap, and those of one output split are summed into one array.  The
+    window matrix of (v, p, r) is built once and serves every kernel of X.
+    The top output order, at p = r = 0, is the largest a + b of X plus that
+    of Y, so one cap check before any product refuses exactly the requests
+    that a check per term would refuse.
+    """
     _check_same_grid(X, Y)
-    terms = (
-        bicontract(w, v, p, r)
+    _require_capacity(X.grid.cells, _top_order(X) + _top_order(Y))
+    windows = {}
+
+    def term(w, v, p, r):
+        key = (v.split, p, r)
+        if key not in windows:
+            windows[key] = _window_matrix(v.kernel, v.split, p, r)
+        return _bicontract_array(w.kernel, w.split, windows[key], p, r)
+
+    pairs = (
+        ((n1 + n2 - 2 * p, m1 + m2 - 2 * r), term(w, v, p, r))
         for (n1, m1), w in X.coeffs.items()
         for (n2, m2), v in Y.coeffs.items()
         for p in range(min(n1, n2) + 1)
         for r in range(min(m1, m2) + 1)
     )
-    return BiChaosElement._sum_by_key(X.grid, terms)
+    return BiChaosElement._sum_arrays(X.grid, pairs)
 
 
 def adjoint(X: BiChaosElement) -> BiChaosElement:

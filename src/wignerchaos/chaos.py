@@ -6,17 +6,23 @@ stored as a map order -> Kernel.  Multiplication is the product formula
     I_n(f) I_m(g) = sum_{p=0}^{min(n,m)} I_{n+m-2p}(f contract_p g),
 
 extended bilinearly; the state phi reads off the order-0 coefficient.
-``moment`` forms only the half powers X^ceil(k/2) and X^floor(k/2) and
-takes phi of their product as the full contraction of matching orders, so
-it never builds X^k; it refuses, before any product, every request whose
-X^k would be over the cap.  ``_Expansion`` holds the canonical form that
-``bichaos.BiChaosElement`` shares: construction checks, the same-key sum
-of both product formulas, linear structure, kernel-wise maps, the scalar
-coefficient and one JSON record (older records without the grid are
-still read).  The module also provides two independent moment paths
-used to cross-check the product formula: a combinatorial oracle summing
-over non-crossing pair partitions, and an exact free-cumulant path for
-elements of the form I_2(g).
+``multiply`` computes each term f contract_p g as a raw array and sums the
+terms of each output order into one array, checked once when it is
+wrapped; one window matrix per (g, p) serves every kernel of the left
+factor, and the order-0 terms, the full pairings phi reads, go through
+``grid_kernel._full_pairing`` like ``contract``'s.  ``moment`` forms only
+the half powers X^ceil(k/2) and X^floor(k/2) and takes phi of their
+product as the full contraction of matching orders, so it never builds
+X^k; it refuses, before any product, every request whose X^k would be
+over the cap.  ``_Expansion`` holds the canonical form that
+``bichaos.BiChaosElement`` shares: construction checks, one same-key sum
+of kernels for ``+`` and one of raw arrays for both product formulas,
+linear structure, kernel-wise maps, the scalar coefficient and one JSON
+record (older records without the grid are still read).  The module also
+provides two independent moment paths used to cross-check the product
+formula: a combinatorial oracle summing over non-crossing pair
+partitions, and an exact free-cumulant path for elements of the form
+I_2(g).
 """
 
 from __future__ import annotations
@@ -27,11 +33,14 @@ from .grid_kernel import (
     GridSpec,
     Kernel,
     _add_into,
+    _bicontract_array,
     _check_same_grid,
+    _full_pairing,
     _require_capacity,
     _require_int,
     _require_order,
     _require_unit_kernel,
+    _window_matrix,
     adjoint as kernel_adjoint,
     constant_kernel,
     contract,
@@ -121,6 +130,23 @@ class _Expansion:
         for key, data in sums.items():
             coeffs[key] = cls._term(Kernel._wrap(grid, data), key)
         return cls(grid, coeffs)
+
+    @classmethod
+    def _sum_arrays(cls, grid: GridSpec, pairs):
+        """The element of (key, array) pairs on grid, arrays of equal key summed.
+
+        The one same-key sum of both product formulas.  Each array is a
+        fresh result the caller hands over: the first of a key becomes its
+        sum, and the later ones are added into it in place, left to right.
+        Each sum is wrapped in a Kernel, without a copy, once at the end, so
+        its entries are checked once, however many terms it has.
+        """
+        sums = {}
+        for key, data in pairs:
+            sums[key] = _add_into(sums[key], data) if key in sums else data
+        return cls(grid, {
+            key: cls._term(Kernel._wrap(grid, data), key) for key, data in sums.items()
+        })
 
     def _map(self, fn):
         """The element with fn(term) in place of each term."""
@@ -237,15 +263,36 @@ def one(grid: GridSpec) -> ChaosElement:
 
 
 def multiply(X: ChaosElement, Y: ChaosElement) -> ChaosElement:
-    """Product via the bilinear extension of the product formula."""
+    """Product via the bilinear extension of the product formula.
+
+    The terms f contract_p g come in the order X's orders, Y's orders, p
+    ascending, each as the raw array ``contract`` would wrap, and those of
+    one output order are summed into one array (``_Expansion._sum_arrays``).
+    The window matrix of (g, p) is built once and serves every kernel of X.
+    The top output order is n_max(X) + n_max(Y), at p = 0, so one cap check
+    before any product refuses exactly the requests that a check per term
+    would refuse.
+    """
     _check_same_grid(X, Y)
-    terms = (
-        contract(f, g, p)
+    top = max(X.coeffs, default=0) + max(Y.coeffs, default=0)
+    _require_capacity(X.grid.cells, top)
+    windows = {}
+
+    def term(f, g, p):
+        n, m = f.order, g.order
+        if p == n == m:
+            return _full_pairing(f, g)
+        if (m, p) not in windows:
+            windows[m, p] = _window_matrix(g, (m, 0), p, 0)
+        return _bicontract_array(f, (n, 0), windows[m, p], p, 0)
+
+    pairs = (
+        (n + m - 2 * p, term(f, g, p))
         for n, f in X.coeffs.items()
         for m, g in Y.coeffs.items()
         for p in range(min(n, m) + 1)
     )
-    return ChaosElement._sum_by_key(X.grid, terms)
+    return ChaosElement._sum_arrays(X.grid, pairs)
 
 
 def adjoint(X: ChaosElement) -> ChaosElement:
@@ -423,19 +470,27 @@ def spectral_moments(g: Kernel, k_max: int) -> list[complex]:
     whose inner sum is the coefficient of x^(k-s) in the s-th power of the
     known prefix m_0 + m_1 x + ... + m_{k-1} x^(k-1).
 
-    Cost is a few m x m matrix products, so this path reaches grid sizes
-    where dense product-formula kernels are far beyond the memory cap; the
-    two paths are compared on small grids in the tests.
+    Each cumulant is read from two half powers, tr(M^j) = sum of
+    M^ceil(j/2) * (M^floor(j/2))^T entrywise, so the cost is
+    ceil(k_max/2) - 1 matrix products of m x m; this path reaches grid
+    sizes where dense product-formula kernels are far beyond the memory
+    cap, and the two paths are compared on small grids in the tests.
     """
     _require_int("k_max", k_max, 0)
     if g.order != 2:
         raise ValueError("spectral_moments needs an order-2 kernel")
     M = g.data * g.grid.cell_width
+    powers = [None, M]  # powers[i] = M^i
+    for _ in range(2, (k_max + 1) // 2 + 1):
+        powers.append(powers[-1] @ M)
+    # M^floor(j/2) read column by column, copied once for j = 2i and 2i + 1
+    # into one reused buffer, so one such copy is alive at a time
+    column = np.empty_like(M)
     kappa = {}
-    P = M
     for j in range(2, k_max + 1):
-        P = P @ M
-        kappa[j] = complex(np.trace(P))
+        if j % 2 == 0:
+            np.copyto(column, powers[j // 2].T)
+        kappa[j] = complex(np.dot(powers[(j + 1) // 2].ravel(), column.ravel()))
     m = [1.0 + 0.0j]
     for k in range(1, k_max + 1):
         prefix = np.array(m)

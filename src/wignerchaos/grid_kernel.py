@@ -32,7 +32,10 @@ steps: ``_window_matrix`` permutes the right factor into pairing order and
 scales it by the cell weights, the only place where the reversal
 convention is implemented, and ``_bicontract_array`` multiplies the left
 factor by that matrix, so a caller that pairs one right factor with many
-left factors builds its matrix once.
+left factors builds its matrix once.  The one exception is the full
+pairing ``contract(f, g, n)`` of two order-n kernels, the scalar that phi
+reads: ``_full_pairing`` computes it without that matrix, so every
+contraction has exactly one route.
 """
 
 from __future__ import annotations
@@ -525,7 +528,8 @@ def contract(f: Kernel, g: Kernel, p: int) -> Kernel:
 
     p = 0 is the plain tensor product.  This is the bicontraction of f and
     g read in the splits (n, 0) and (m, 0) with no second-leg pair, and it
-    is computed by the same matrix product.
+    is computed by the same matrix product, except for the full pairing
+    p = n = m, a scalar, which ``_full_pairing`` computes.
 
     Parameters
     ----------
@@ -542,6 +546,8 @@ def contract(f: Kernel, g: Kernel, p: int) -> Kernel:
     n, m = f.order, g.order
     _require_int("p", p, 0, min(n, m))
     _require_capacity(f.grid.cells, n + m - 2 * p)
+    if p == n == m:
+        return Kernel._wrap(f.grid, _full_pairing(f, g))
     out = _bicontract_array(f, (n, 0), _window_matrix(g, (m, 0), p, 0), p, 0)
     return Kernel._wrap(f.grid, out)
 
@@ -593,11 +599,15 @@ def _window_matrix(g: Kernel, g_split, p: int, r: int) -> np.ndarray:
     The first p + r axes are g's window in the order the nested junctions
     pair it with f's window (g axes p-1, ..., 0, then n2+m2-1, ...,
     n2+m2-r), the rest are g's free axes in g's own order.  The result is
-    an owned C-contiguous array of shape (N,)*(n2+m2), so reading it as the
-    (N^(p+r), N^(n2+m2-p-r)) matrix is free and its order stays known.
-    This is the only place where the reversal convention is implemented.
+    a C-contiguous array of shape (N,)*(n2+m2), so reading it as the
+    (N^(p+r), N^(n2+m2-p-r)) matrix is free and its order stays known.  At
+    p = r = 0 no axis moves and h^0 = 1, so it is g's own read-only data;
+    otherwise it is an owned copy.  This is the only place where the
+    reversal convention of the matrix products is implemented.
     Unvalidated.
     """
+    if p + r == 0:
+        return g.data
     n2, m2 = g_split
     last = n2 + m2 - 1
     g_perm = (
@@ -631,6 +641,28 @@ def _bicontract_array(f: Kernel, f_split, G: np.ndarray, p: int, r: int, out=Non
         return np.matmul(a, b).reshape((cells,) * order)
     np.matmul(a, b, out=out.reshape(out_shape))
     return out
+
+
+def _full_pairing(f: Kernel, g: Kernel):
+    """The scalar of ``contract(f, g, n)`` for two kernels of order n.
+
+    h^n * sum f[i_0, ..., i_(n-1)] g[i_(n-1), ..., i_0], the nested pairing
+    of all n axes.  With x the leading floor(n/2) axes of f and y its
+    trailing ceil(n/2) axes, this is sum_{x,y} F[x, y] Gr[y, x] for F = f
+    as an (N^floor(n/2), N^ceil(n/2)) matrix and Gr = g with the axes
+    reversed within each half.  That copy keeps each half's axes together,
+    where reversing all n axes at once, as the window matrix would, reads g
+    with a large stride for every entry.  h^n scales the sum, not the
+    array.  A numpy scalar, float64 when both kernels are real.
+    Unvalidated.
+    """
+    n = f.order
+    a, b = n // 2, n - n // 2
+    cells = f.grid.cells
+    g_perm = (*range(b - 1, -1, -1), *range(n - 1, b - 1, -1))
+    Gr = np.transpose(g.data, g_perm).reshape(cells**b, cells**a)
+    F = f.data.reshape(cells**a, cells**b)
+    return f.grid.cell_width**n * np.einsum("xy,yx->", F, Gr)
 
 
 def slice_kernel(f: Kernel, k: int, s: int) -> SplitKernel:

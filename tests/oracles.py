@@ -12,6 +12,12 @@ before it took powers of the moment prefix with ``np.convolve``.
 ``fold_moment`` is the left fold ``chaos.moment`` used before it took the
 trace of two half powers: it builds every power X^2, ..., X^k in full.
 
+``termwise_multiply`` and ``termwise_sharp_multiply`` are the product and
+biproduct formulas one public ``contract`` or ``bicontract`` per term,
+each term a checked kernel, summed by ``_sum_by_key``: the route
+``chaos.multiply`` and ``bichaos.sharp_multiply`` took before they summed
+raw arrays with one window matrix per right factor and contraction size.
+
 Three of the paper's definitions, which the library folds away, are kept
 here by their definitions:
 
@@ -32,9 +38,11 @@ from wignerchaos.chaos import ChaosElement, multiply, trace
 from wignerchaos.grid_kernel import (
     Kernel,
     SplitKernel,
+    _check_same_grid,
     _require_int,
     adjoint_split,
     bicontract,
+    contract,
 )
 
 
@@ -88,6 +96,31 @@ def fold_moment(X: ChaosElement, k: int) -> complex:
     for _ in range(k - 1):
         acc = multiply(acc, X)
     return trace(acc)
+
+
+def termwise_multiply(X: ChaosElement, Y: ChaosElement) -> ChaosElement:
+    """X Y by the product formula, one checked contract per (f, g, p) term."""
+    _check_same_grid(X, Y)
+    terms = (
+        contract(f, g, p)
+        for n, f in X.coeffs.items()
+        for m, g in Y.coeffs.items()
+        for p in range(min(n, m) + 1)
+    )
+    return ChaosElement._sum_by_key(X.grid, terms)
+
+
+def termwise_sharp_multiply(X: BiChaosElement, Y: BiChaosElement) -> BiChaosElement:
+    """X # Y by the biproduct formula, one checked bicontract per (w, v, p, r) term."""
+    _check_same_grid(X, Y)
+    terms = (
+        bicontract(w, v, p, r)
+        for (n1, m1), w in X.coeffs.items()
+        for (n2, m2), v in Y.coeffs.items()
+        for p in range(min(n1, n2) + 1)
+        for r in range(min(m1, m2) + 1)
+    )
+    return BiChaosElement._sum_by_key(X.grid, terms)
 
 
 def number_inverse(X: ChaosElement) -> ChaosElement:

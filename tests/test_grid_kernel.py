@@ -327,6 +327,24 @@ def test_contract_full_is_nested_pairing():
     assert complex(out.data) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("cells", [2, 3])
+def test_full_pairing_matches_the_window_route(cells):
+    # the scalar contract(f, g, n) against the window-matrix product that
+    # serves every other contraction size, on two different kernels
+    grid = GridSpec(2.5, cells)
+    rng = np.random.default_rng(50 + cells)
+    for n in range(8):
+        shape = (cells,) * n
+        for complex_ in (False, True):
+            parts = [rng.standard_normal((2, *shape)) for _ in range(2)]
+            f, g = (Kernel(grid, n, re + 1j * im if complex_ else re) for re, im in parts)
+            got = grid_kernel_module._full_pairing(f, g)
+            window = grid_kernel_module._window_matrix(g, (n, 0), n, 0)
+            want = grid_kernel_module._bicontract_array(f, (n, 0), window, n, 0)
+            assert np.asarray(got).dtype == want.dtype, (n, complex_)
+            assert abs(got - complex(want)) <= 1e-13 * abs(complex(want)), (n, complex_)
+
+
 def test_contract_one_matches_matrix_product():
     f, g = rand(2, seed=16), rand(2, seed=17)
     out = contract(f, g, 1)

@@ -32,6 +32,7 @@ import pytest
 
 import wignerchaos
 from wignerchaos import grid_kernel
+from wignerchaos.bichaos import from_split_kernel
 from wignerchaos.breuer_major import NORMALIZATIONS, BMConfig, increment_kernels, vm_kernel
 from wignerchaos.chaos import from_kernel
 from wignerchaos.grid_kernel import (
@@ -145,7 +146,10 @@ def test_no_test_oracle_is_public():
     # in the package again, it would be a third
     tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
     oracles = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert {"number_inverse", "coefficient_c", "chebyshev_U"} <= oracles
+    assert {
+        "number_inverse", "coefficient_c", "chebyshev_U",
+        "termwise_multiply", "termwise_sharp_multiply",
+    } <= oracles
     public = set(vars(wignerchaos))
     for module in package_modules():
         public |= set(getattr(module, "__all__", ()))
@@ -278,6 +282,7 @@ def over_cap_calls():
     """
     small = zero_kernel(GridSpec(1.0, 32), 2)  # order 4 on 32 cells: 8 MiB
     w = SplitKernel(small, (1, 1))
+    ones = Kernel(small.grid, 2, np.ones((32, 32)))  # a zero kernel would be pruned
     cfg = BMConfig(n=2, H=0.3, m_list=(4,), truncation=100)
     big = GridSpec(1.0, 512)  # order 2: 2 MiB
     entries = [0.0] * 512**2  # read as an array of 2 MiB
@@ -288,8 +293,11 @@ def over_cap_calls():
         ("breuer_major", "sigma2"): {"n": 2, "H": 0.3, "K": 2**18},
         ("breuer_major", "vm_kernel"): {"cfg": cfg, "m": 512},
         # X^2 has order 4 on 32 cells: 8 MiB
-        ("chaos", "moment"): {
-            "X": from_kernel(2, Kernel(small.grid, 2, np.ones((32, 32)))), "k": 2
+        ("chaos", "moment"): {"X": from_kernel(2, ones), "k": 2},
+        ("chaos", "multiply"): {"X": from_kernel(2, ones), "Y": from_kernel(2, ones)},
+        ("bichaos", "sharp_multiply"): {
+            "X": from_split_kernel(SplitKernel(ones, (1, 1))),
+            "Y": from_split_kernel(SplitKernel(ones, (1, 1))),
         },
         ("grid_kernel", "Kernel"): {"grid": big, "order": 2, "data": np.zeros(1)},
         ("grid_kernel", "bicontract"): {"f": w, "g": w, "p": 0, "r": 0},
