@@ -6,23 +6,23 @@ stored as a map order -> Kernel.  Multiplication is the product formula
     I_n(f) I_m(g) = sum_{p=0}^{min(n,m)} I_{n+m-2p}(f contract_p g),
 
 extended bilinearly; the state phi reads off the order-0 coefficient.
-``multiply`` computes each term f contract_p g as a raw array and sums the
-terms of each output order into one array, checked once when it is
-wrapped; one window matrix per (g, p) serves every kernel of the left
-factor, and the order-0 terms, the full pairings phi reads, go through
-``grid_kernel._full_pairing`` like ``contract``'s.  ``moment`` forms only
-the half powers X^ceil(k/2) and X^floor(k/2) and takes phi of their
-product as the full contraction of matching orders, so it never builds
-X^k; it refuses, before any product, every request whose X^k would be
-over the cap.  ``_Expansion`` holds the canonical form that
-``bichaos.BiChaosElement`` shares: construction checks, one same-key sum
-of kernels for ``+`` and one of raw arrays for both product formulas,
-linear structure, kernel-wise maps, the scalar coefficient and one JSON
-record (older records without the grid are still read).  The module also
-provides two independent moment paths used to cross-check the product
-formula: a combinatorial oracle summing over non-crossing pair
-partitions, and an exact free-cumulant path for elements of the form
-I_2(g).
+``multiply`` computes each term f contract_p g as the raw array of
+``contract``'s own route (``grid_kernel._contract_array``, which takes the
+order-0 terms, the full pairings phi reads, through ``_full_pairing``) and
+sums the terms of each output order into one array, checked once when it
+is wrapped; one window matrix per (g, p) serves every kernel of the left
+factor.  ``moment`` forms only the half powers X^ceil(k/2) and
+X^floor(k/2) and takes phi of their product as the full contraction of
+matching orders, so it never builds X^k; it refuses, before any product,
+every request whose X^k would be over the cap.  ``_Expansion`` holds the
+canonical form that ``bichaos.BiChaosElement`` shares: construction
+checks, one same-key sum of kernels for ``+`` and one of raw arrays for
+both product formulas, linear structure, kernel-wise maps, the scalar
+coefficient and one JSON record (older records without the grid are
+still read).  The module also provides two independent moment paths used
+to cross-check the product formula: a combinatorial oracle summing over
+non-crossing pair partitions, and an exact free-cumulant path for
+elements of the form I_2(g).
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .grid_kernel import (
     GridSpec,
     Kernel,
     _add_into,
-    _bicontract_array,
     _check_same_grid,
-    _full_pairing,
+    _contract_array,
     _require_capacity,
     _require_int,
     _require_order,
@@ -278,16 +277,13 @@ def multiply(X: ChaosElement, Y: ChaosElement) -> ChaosElement:
     _require_capacity(X.grid.cells, top)
     windows = {}
 
-    def term(f, g, p):
-        n, m = f.order, g.order
-        if p == n == m:
-            return _full_pairing(f, g)
-        if (m, p) not in windows:
-            windows[m, p] = _window_matrix(g, (m, 0), p, 0)
-        return _bicontract_array(f, (n, 0), windows[m, p], p, 0)
+    def window(g, g_split, p, r):
+        if (g.order, p) not in windows:
+            windows[g.order, p] = _window_matrix(g, g_split, p, r)
+        return windows[g.order, p]
 
     pairs = (
-        (n + m - 2 * p, term(f, g, p))
+        (n + m - 2 * p, _contract_array(f, g, p, window))
         for n, f in X.coeffs.items()
         for m, g in Y.coeffs.items()
         for p in range(min(n, m) + 1)
@@ -480,17 +476,18 @@ def spectral_moments(g: Kernel, k_max: int) -> list[complex]:
     if g.order != 2:
         raise ValueError("spectral_moments needs an order-2 kernel")
     M = g.data * g.grid.cell_width
-    powers = [None, M]  # powers[i] = M^i
-    for _ in range(2, (k_max + 1) // 2 + 1):
-        powers.append(powers[-1] @ M)
-    # M^floor(j/2) read column by column, copied once for j = 2i and 2i + 1
-    # into one reused buffer, so one such copy is alive at a time
+    # P = M^ceil(j/2), and column holds M^floor(j/2) read column by column,
+    # copied once for j = 2i and 2i + 1; a fixed number of m x m matrices
+    # are alive at any k_max
+    P = M
     column = np.empty_like(M)
     kappa = {}
     for j in range(2, k_max + 1):
         if j % 2 == 0:
-            np.copyto(column, powers[j // 2].T)
-        kappa[j] = complex(np.dot(powers[(j + 1) // 2].ravel(), column.ravel()))
+            np.copyto(column, P.T)
+        else:
+            P = P @ M
+        kappa[j] = complex(np.dot(P.ravel(), column.ravel()))
     m = [1.0 + 0.0j]
     for k in range(1, k_max + 1):
         prefix = np.array(m)

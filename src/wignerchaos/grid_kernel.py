@@ -34,8 +34,9 @@ convention is implemented, and ``_bicontract_array`` multiplies the left
 factor by that matrix, so a caller that pairs one right factor with many
 left factors builds its matrix once.  The one exception is the full
 pairing ``contract(f, g, n)`` of two order-n kernels, the scalar that phi
-reads: ``_full_pairing`` computes it without that matrix, so every
-contraction has exactly one route.
+reads: ``_full_pairing`` computes it without that matrix.  That choice
+is made once, in ``_contract_array``, whose raw result ``contract`` wraps
+and ``chaos.multiply`` sums, so every contraction has exactly one route.
 """
 
 from __future__ import annotations
@@ -546,10 +547,23 @@ def contract(f: Kernel, g: Kernel, p: int) -> Kernel:
     n, m = f.order, g.order
     _require_int("p", p, 0, min(n, m))
     _require_capacity(f.grid.cells, n + m - 2 * p)
+    return Kernel._wrap(f.grid, _contract_array(f, g, p))
+
+
+def _contract_array(f: Kernel, g: Kernel, p: int, window=None):
+    """The raw result of ``contract(f, g, p)``, the one route it takes.
+
+    The full pairing p = n = m is ``_full_pairing``'s scalar; every other
+    p is g's window matrix times f, an owned (N,)*(n+m-2p) array.  The
+    matrix comes from ``window(g, (m, 0), p, 0)``, ``_window_matrix`` by
+    default; a caller that pairs one g with many f passes a ``window``
+    that builds each matrix once.  Unvalidated.
+    """
+    n, m = f.order, g.order
     if p == n == m:
-        return Kernel._wrap(f.grid, _full_pairing(f, g))
-    out = _bicontract_array(f, (n, 0), _window_matrix(g, (m, 0), p, 0), p, 0)
-    return Kernel._wrap(f.grid, out)
+        return _full_pairing(f, g)
+    G = (window or _window_matrix)(g, (m, 0), p, 0)
+    return _bicontract_array(f, (n, 0), G, p, 0)
 
 
 def bicontract(f: SplitKernel, g: SplitKernel, p: int, r: int) -> SplitKernel:
