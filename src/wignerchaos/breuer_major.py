@@ -60,6 +60,10 @@ __all__ = [
 
 NORMALIZATIONS = ("asymptotic_sigma", "exact_variance")
 
+# the largest lag, truncation or order accepted: from 2^53 on a float64
+# no longer tells k + 1 from k, and above int64 numpy's r ** n overflows
+_MAX_INT = 2**53 - 1
+
 
 @dataclass(frozen=True)
 class BMConfig:
@@ -118,9 +122,9 @@ def _require_summable(n: int, H: float) -> None:
     """Raise unless H lies in (0, 1) and sum_k |rho_H(k)|^n converges.
 
     |rho_H(k)| decays like k^(2H-2), so the sum is finite iff
-    n(2 - 2H) > 1, that is H < (2n-1)/(2n).
+    n(2 - 2H) > 1, that is H < (2n-1)/(2n).  n must also be below 2^53.
     """
-    _require_int("n", n, 1)
+    _require_int("n", n, 1, _MAX_INT)
     _require_hurst(H)
     if H >= (2 * n - 1) / (2 * n):
         raise ValueError(
@@ -156,10 +160,10 @@ def rho(H: float, k: int) -> float:
     The three powers are taken by numpy, as in ``_rho_lags``, so both give
     the same bits at every lag: Python's scalar ``**`` differs from numpy's
     in the last place, which the subtraction magnifies (3.7e-9 at H = 0.98
-    and lags near 4096).
+    and lags near 4096).  |k| must be below 2^53, where k + 1 == k in float64.
     """
     _require_hurst(H)
-    _require_int("k", k, -math.inf)
+    _require_int("k", k, -_MAX_INT, _MAX_INT)
     k = float(abs(k))
     up, down, mid = np.array([k + 1, abs(k - 1), k]) ** (2 * H)
     return float(_rho_from_powers(up, down, mid))
@@ -196,9 +200,9 @@ def sigma2_tail_bound(n: int, H: float, K: int) -> float:
     Same preconditions as ``sigma2``: outside them the series diverges and
     the formula below is not a bound (it can even be negative).  At H = 1/2
     the constant 2H|2H-1| is 0, so the bound is exactly 0.0: the increments
-    are independent and no tail is dropped.
+    are independent and no tail is dropped.  K must be below 2^53.
     """
-    _require_int("K", K, 1)
+    _require_int("K", K, 1, _MAX_INT)
     _require_summable(n, H)
     a = 2.0 * H * abs(2.0 * H - 1.0)
     decay = n * (2.0 - 2.0 * H) - 1.0  # > 0 under the summability condition
@@ -442,11 +446,11 @@ def gap_fast(cfg: BMConfig, m: int) -> float:
     _require_lag_entries("m", m, _gap_entries(m))
     n = cfg.n
     r = _rho_lags(cfg.H, m)
-    powers = {v: r**v for v in range(1, n)}  # 2u = n passes one array twice
     total = 0.0
     for u in range(1, n // 2 + 1):
         weight = 1.0 if 2 * u == n else 2.0
-        total += weight * _trace_abab(powers[u], powers[n - u])
+        a = r**u  # 2u = n passes one array twice, so only two are alive
+        total += weight * _trace_abab(a, a if 2 * u == n else r ** (n - u))
     return total / _variance(cfg, r) ** 2
 
 

@@ -6,23 +6,26 @@ stored as a map order -> Kernel.  Multiplication is the product formula
     I_n(f) I_m(g) = sum_{p=0}^{min(n,m)} I_{n+m-2p}(f contract_p g),
 
 extended bilinearly; the state phi reads off the order-0 coefficient.
-``multiply`` computes each term f contract_p g as the raw array of
-``contract``'s own route (``grid_kernel._contract_array``, which takes the
-order-0 terms, the full pairings phi reads, through ``_full_pairing``) and
-sums the terms of each output order into one array, checked once when it
-is wrapped; one window matrix per (g, p) serves every kernel of the left
-factor.  ``moment`` forms only the half powers X^ceil(k/2) and
-X^floor(k/2) and takes phi of their product as the full contraction of
-matching orders, so it never builds X^k; it refuses, before any product,
-every request whose X^k would be over the cap.  ``_Expansion`` holds the
-canonical form that ``bichaos.BiChaosElement`` shares: construction
-checks, one same-key sum of kernels for ``+`` and one of raw arrays for
-both product formulas, linear structure, kernel-wise maps, the scalar
-coefficient and one JSON record (older records without the grid are
-still read).  The module also provides two independent moment paths used
-to cross-check the product formula: a combinatorial oracle summing over
-non-crossing pair partitions, and an exact free-cumulant path for
-elements of the form I_2(g).
+It is the one-leg case of the biproduct formula of ``bichaos``: order n
+is the split (n, 0), with no second-leg pair.  So both formulas are one
+enumerator, ``_Expansion._product``, which ``multiply`` and
+``bichaos.sharp_multiply`` call.  It reads every kernel in its split,
+takes each term as the raw array of ``grid_kernel._pair_array`` (the one
+route of ``contract`` and ``bicontract``, which takes the full pairings
+phi reads through ``_full_pairing``), and sums the terms of each output
+split into one array, checked once when it is wrapped; one window matrix
+per (g's split, p, r) serves every kernel of the left factor.
+``moment`` forms only the half powers X^ceil(k/2) and X^floor(k/2) and
+takes phi of their product as the full contraction of matching orders,
+so it never builds X^k; it refuses, before any product, every request
+whose X^k would be over the cap.  ``_Expansion`` holds the canonical form
+that ``bichaos.BiChaosElement`` shares: construction checks, the product
+enumerator, ``+`` (which adds each shared key once), linear structure,
+kernel-wise maps, the scalar coefficient and one JSON record (older
+records without the grid are still read).  The module also provides two
+independent moment paths used to cross-check the product formula: a
+combinatorial oracle summing over non-crossing pair partitions, and an
+exact free-cumulant path for elements of the form I_2(g).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .grid_kernel import (
     Kernel,
     _add_into,
     _check_same_grid,
-    _contract_array,
+    _pair_array,
     _require_capacity,
     _require_int,
     _require_order,
@@ -73,8 +76,9 @@ class _Expansion:
     """Finite sum of terms on one grid, one nonzero term per key, keys sorted.
 
     A subclass states a term's key (``_key``), the term's kernel
-    (``_kernel``) and the term of a kernel at a key (``_term``), and names
-    its keys for ``repr`` (``_KEYS``).  Its ``__init__`` checks the key type
+    (``_kernel``), the split the product formula reads it in (``_split``)
+    and the term of a kernel at a key or split (``_term``), and names its
+    keys for ``repr`` (``_KEYS``).  Its ``__init__`` checks the key type
     and then runs this one: each caller's key must equal its term's key,
     and a term is stored under the key its kernel gives (an order or a
     split, built-in ints), so a key given as a numpy integer reads back as
@@ -109,43 +113,59 @@ class _Expansion:
         return f"{type(self).__name__}({self._KEYS}={list(self.coeffs)})"
 
     @classmethod
-    def _sum_by_key(cls, grid: GridSpec, terms):
-        """The element of terms on grid, those of equal key summed left to right.
+    def _product(cls, X, Y):
+        """X Y by the biproduct formula, each kernel read in its split.
 
-        A key reached once keeps its term object; a repeated key is summed
-        into one array owned here and wrapped in a Kernel, without a copy,
-        once at the end.
+        The one product enumerator: ``chaos.multiply`` (order n read as the
+        split (n, 0), so r is always 0) and ``bichaos.sharp_multiply``.  The
+        terms come in the order X's keys, Y's keys, p, r ascending, each the
+        raw array of ``_pair_array``, and are summed per output split by
+        ``_sum_arrays``.  The window matrix of (g's split, p, r) is built
+        once and serves every kernel of X.  The top output order, at
+        p = r = 0, is the largest a + b of X plus that of Y, so one cap
+        check before any product refuses exactly the requests that a check
+        per term would refuse.
         """
-        coeffs = {}
-        sums = {}  # key -> summed array
-        for term in terms:
-            key = cls._key(term)
-            if key in sums:
-                sums[key] = _add_into(sums[key], cls._kernel(term).data)
-            elif key in coeffs:
-                sums[key] = cls._kernel(coeffs[key]).data + cls._kernel(term).data
-            else:
-                coeffs[key] = term
-        for key, data in sums.items():
-            coeffs[key] = cls._term(Kernel._wrap(grid, data), key)
-        return cls(grid, coeffs)
+        _check_same_grid(X, Y)
+        xs = [(cls._split(t), cls._kernel(t)) for t in X.coeffs.values()]
+        ys = [(cls._split(t), cls._kernel(t)) for t in Y.coeffs.values()]
+        top = sum(max([f.order for _, f in ks], default=0) for ks in (xs, ys))
+        _require_capacity(X.grid.cells, top)
+        windows = {}
+
+        def window(g, g_split, p, r):
+            if (g_split, p, r) not in windows:
+                windows[g_split, p, r] = _window_matrix(g, g_split, p, r)
+            return windows[g_split, p, r]
+
+        def pairs():
+            for f_split, f in xs:
+                n1, m1 = f_split
+                for g_split, g in ys:
+                    n2, m2 = g_split
+                    rs = range(min(m1, m2) + 1)
+                    for p in range(min(n1, n2) + 1):
+                        for r in rs:
+                            out = (n1 + n2 - 2 * p, m1 + m2 - 2 * r)
+                            yield out, _pair_array(f, f_split, g, g_split, p, r, window)
+
+        return cls._sum_arrays(X.grid, pairs())
 
     @classmethod
     def _sum_arrays(cls, grid: GridSpec, pairs):
-        """The element of (key, array) pairs on grid, arrays of equal key summed.
+        """The element of (split, array) pairs on grid, arrays of equal split summed.
 
-        The one same-key sum of both product formulas.  Each array is a
-        fresh result the caller hands over: the first of a key becomes its
-        sum, and the later ones are added into it in place, left to right.
-        Each sum is wrapped in a Kernel, without a copy, once at the end, so
-        its entries are checked once, however many terms it has.
+        Each array is a fresh result the caller hands over: the first of a
+        split becomes its sum, and the later ones are added into it in
+        place, left to right.  Each sum is wrapped in a Kernel, without a
+        copy, once at the end, so its entries are checked once, however
+        many terms it has; the element keys each term by its own ``_key``.
         """
         sums = {}
-        for key, data in pairs:
-            sums[key] = _add_into(sums[key], data) if key in sums else data
-        return cls(grid, {
-            key: cls._term(Kernel._wrap(grid, data), key) for key, data in sums.items()
-        })
+        for split, data in pairs:
+            sums[split] = _add_into(sums[split], data) if split in sums else data
+        terms = [cls._term(Kernel._wrap(grid, data), split) for split, data in sums.items()]
+        return cls(grid, {cls._key(t): t for t in terms})
 
     def _map(self, fn):
         """The element with fn(term) in place of each term."""
@@ -155,8 +175,12 @@ class _Expansion:
         if not isinstance(other, type(self)):
             return NotImplemented
         _check_same_grid(self, other)
-        terms = [*self.coeffs.values(), *other.coeffs.values()]
-        return self._sum_by_key(self.grid, terms)
+        coeffs = dict(self.coeffs)
+        for key, t in other.coeffs.items():
+            if key in coeffs:
+                t = self._term(self._kernel(coeffs[key]) + self._kernel(t), key)
+            coeffs[key] = t
+        return type(self)(self.grid, coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -240,6 +264,7 @@ class ChaosElement(_Expansion):
         super().__init__(grid, coeffs)
 
     _key = staticmethod(lambda f: f.order)
+    _split = staticmethod(lambda f: (f.order, 0))
     _kernel = staticmethod(lambda f: f)
     _term = staticmethod(lambda f, n: f)
     orders = property(lambda self: tuple(self.coeffs))
@@ -265,30 +290,9 @@ def multiply(X: ChaosElement, Y: ChaosElement) -> ChaosElement:
     """Product via the bilinear extension of the product formula.
 
     The terms f contract_p g come in the order X's orders, Y's orders, p
-    ascending, each as the raw array ``contract`` would wrap, and those of
-    one output order are summed into one array (``_Expansion._sum_arrays``).
-    The window matrix of (g, p) is built once and serves every kernel of X.
-    The top output order is n_max(X) + n_max(Y), at p = 0, so one cap check
-    before any product refuses exactly the requests that a check per term
-    would refuse.
+    ascending; see ``_Expansion._product``.
     """
-    _check_same_grid(X, Y)
-    top = max(X.coeffs, default=0) + max(Y.coeffs, default=0)
-    _require_capacity(X.grid.cells, top)
-    windows = {}
-
-    def window(g, g_split, p, r):
-        if (g.order, p) not in windows:
-            windows[g.order, p] = _window_matrix(g, g_split, p, r)
-        return windows[g.order, p]
-
-    pairs = (
-        (n + m - 2 * p, _contract_array(f, g, p, window))
-        for n, f in X.coeffs.items()
-        for m, g in Y.coeffs.items()
-        for p in range(min(n, m) + 1)
-    )
-    return ChaosElement._sum_arrays(X.grid, pairs)
+    return ChaosElement._product(X, Y)
 
 
 def adjoint(X: ChaosElement) -> ChaosElement:

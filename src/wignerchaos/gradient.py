@@ -76,7 +76,8 @@ def gradient(n: int, f: Kernel, s: int) -> BiChaosElement:
     """
     _require_order(n, f, 1)
     slices = (slice_kernel(f, k, s) for k in range(1, n + 1))
-    return BiChaosElement._sum_by_key(f.grid, slices)
+    # slice k has split (k-1, n-k), so the n slices have n distinct splits
+    return BiChaosElement(f.grid, {w.split: w for w in slices})
 
 
 def _quadratic_form_slots(n: int, f: Kernel):

@@ -33,10 +33,11 @@ scales it by the cell weights, the only place where the reversal
 convention is implemented, and ``_bicontract_array`` multiplies the left
 factor by that matrix, so a caller that pairs one right factor with many
 left factors builds its matrix once.  The one exception is the full
-pairing ``contract(f, g, n)`` of two order-n kernels, the scalar that phi
+pairing of two one-leg kernels of order n at p = n, the scalar that phi
 reads: ``_full_pairing`` computes it without that matrix.  That choice
-is made once, in ``_contract_array``, whose raw result ``contract`` wraps
-and ``chaos.multiply`` sums, so every contraction has exactly one route.
+is made once, in ``_pair_array``, whose raw result ``contract`` and
+``bicontract`` wrap and the product formulas of ``chaos`` sum, so every
+contraction has exactly one route.
 """
 
 from __future__ import annotations
@@ -347,9 +348,11 @@ def _add_into(acc: np.ndarray, data: np.ndarray) -> np.ndarray:
     """acc + data, summed in place into the owned array acc when its dtype allows.
 
     numpy refuses an in-place complex-to-float add, so a complex term met
-    by a real sum returns a new, promoted array instead.
+    by a real sum returns a new, promoted array instead.  Package arrays
+    are float64 or complex128, so the kinds decide what ``np.can_cast``
+    would, at a tenth of its cost.
     """
-    if np.can_cast(data.dtype, acc.dtype):
+    if acc.dtype.kind == "c" or data.dtype.kind != "c":
         acc += data
         return acc
     return acc + data
@@ -547,23 +550,7 @@ def contract(f: Kernel, g: Kernel, p: int) -> Kernel:
     n, m = f.order, g.order
     _require_int("p", p, 0, min(n, m))
     _require_capacity(f.grid.cells, n + m - 2 * p)
-    return Kernel._wrap(f.grid, _contract_array(f, g, p))
-
-
-def _contract_array(f: Kernel, g: Kernel, p: int, window=None):
-    """The raw result of ``contract(f, g, p)``, the one route it takes.
-
-    The full pairing p = n = m is ``_full_pairing``'s scalar; every other
-    p is g's window matrix times f, an owned (N,)*(n+m-2p) array.  The
-    matrix comes from ``window(g, (m, 0), p, 0)``, ``_window_matrix`` by
-    default; a caller that pairs one g with many f passes a ``window``
-    that builds each matrix once.  Unvalidated.
-    """
-    n, m = f.order, g.order
-    if p == n == m:
-        return _full_pairing(f, g)
-    G = (window or _window_matrix)(g, (m, 0), p, 0)
-    return _bicontract_array(f, (n, 0), G, p, 0)
+    return Kernel._wrap(f.grid, _pair_array(f, (n, 0), g, (m, 0), p, 0))
 
 
 def bicontract(f: SplitKernel, g: SplitKernel, p: int, r: int) -> SplitKernel:
@@ -593,7 +580,9 @@ def bicontract(f: SplitKernel, g: SplitKernel, p: int, r: int) -> SplitKernel:
 
     one matrix product batched over a, written once in the order above.
     Its dtype follows numpy's promotion: float64 when both kernels are
-    real, complex128 when either is complex.
+    real, complex128 when either is complex.  The full pairing of splits
+    (p, 0) and (p, 0) is the scalar of ``contract(f, g, p)``, by the same
+    route.
     """
     _check_same_grid(f.kernel, g.kernel)
     n1, m1 = f.split
@@ -602,9 +591,24 @@ def bicontract(f: SplitKernel, g: SplitKernel, p: int, r: int) -> SplitKernel:
     _require_int("r", r, 0, min(m1, m2))
     out_split = (n1 + n2 - 2 * p, m1 + m2 - 2 * r)
     _require_capacity(f.kernel.grid.cells, sum(out_split))
-    G = _window_matrix(g.kernel, g.split, p, r)
-    out = _bicontract_array(f.kernel, f.split, G, p, r)
+    out = _pair_array(f.kernel, f.split, g.kernel, g.split, p, r)
     return SplitKernel(Kernel._wrap(f.kernel.grid, out), out_split)
+
+
+def _pair_array(f: Kernel, f_split, g: Kernel, g_split, p: int, r: int, window=None):
+    """The raw result of the (p, r)-bicontraction of f and g in their splits.
+
+    The one route of every contraction.  Two one-leg kernels paired in
+    full, f_split == g_split == (p, 0), give ``_full_pairing``'s scalar;
+    every other term is g's window matrix times f, an owned (N,)*order
+    array.  The matrix comes from ``window(g, g_split, p, r)``,
+    ``_window_matrix`` by default; a caller that pairs one g with many f
+    passes a ``window`` that builds each matrix once.  Unvalidated.
+    """
+    if f_split == g_split == (p, 0):
+        return _full_pairing(f, g)
+    G = (window or _window_matrix)(g, g_split, p, r)
+    return _bicontract_array(f, f_split, G, p, r)
 
 
 def _window_matrix(g: Kernel, g_split, p: int, r: int) -> np.ndarray:

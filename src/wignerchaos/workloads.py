@@ -30,15 +30,19 @@ def random_symmetric_unit_kernel(
 
     The generator is counter-based (Philox keyed by (seed, index)), so
     trial `index` is reproducible independently of the other trials.
+    Seed and index are each one 64-bit word of the key, so both must be
+    below 2^64.
     Draws whose symmetrization has no entry of modulus 1e-8 or more are
     rejected; the entries do not depend on the grid length, so neither
     does the decision.
     """
     _require_int("order", order, 0)
-    _require_int("seed", seed, 0)
-    _require_int("index", index, 0)
+    _require_int("seed", seed, 0, 2**64 - 1)
+    _require_int("index", index, 0, 2**64 - 1)
     _require_capacity(grid.cells, order)  # before the draw, not after it
-    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
+    # as a list, a seed from 2^63 on would pass through float64 and lose bits
+    key = np.array([seed, index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     while True:
         raw = rng.uniform(-1.0, 1.0, size=(grid.cells,) * order)
         k = symmetrize(Kernel._wrap(grid, raw))

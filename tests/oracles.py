@@ -14,9 +14,15 @@ trace of two half powers: it builds every power X^2, ..., X^k in full.
 
 ``termwise_multiply`` and ``termwise_sharp_multiply`` are the product and
 biproduct formulas one public ``contract`` or ``bicontract`` per term,
-each term a checked kernel, summed by ``_sum_by_key``: the route
-``chaos.multiply`` and ``bichaos.sharp_multiply`` took before they summed
-raw arrays with one window matrix per right factor and contraction size.
+each term a checked kernel, summed by ``sum_terms``: the route
+``chaos.multiply`` and ``bichaos.sharp_multiply`` took before both became
+the one enumerator ``chaos._Expansion._product``, which sums raw arrays
+from ``grid_kernel._pair_array`` with one window matrix per right factor
+and contraction size.
+
+``sum_terms`` is the oracles' own same-key sum: one-term elements added
+left to right by the public ``+``, so it shares no code with the sum of
+the product enumerator.
 
 Three of the paper's definitions, which the library folds away, are kept
 here by their definitions:
@@ -33,8 +39,8 @@ here by their definitions:
 
 import numpy as np
 
-from wignerchaos.bichaos import BiChaosElement
-from wignerchaos.chaos import ChaosElement, multiply, trace
+from wignerchaos.bichaos import BiChaosElement, from_split_kernel
+from wignerchaos.chaos import ChaosElement, from_kernel, multiply, trace
 from wignerchaos.grid_kernel import (
     Kernel,
     SplitKernel,
@@ -44,6 +50,21 @@ from wignerchaos.grid_kernel import (
     bicontract,
     contract,
 )
+
+
+def sum_terms(cls, grid, terms):
+    """The cls element of terms on grid, those of equal key summed left to right.
+
+    Each kernel or split kernel becomes a one-term element, and the
+    elements are added by the public ``+``.
+    """
+    total = cls(grid, {})
+    for t in terms:
+        if isinstance(t, SplitKernel):
+            total = total + from_split_kernel(t)
+        else:
+            total = total + from_kernel(t.order, t)
+    return total
 
 
 def slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
@@ -61,7 +82,7 @@ def slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
         for p in range(1, min(k, j) + 1)
         for r in range(min(n - k, n - j) + 1)
     )
-    return BiChaosElement._sum_by_key(f.grid, terms)
+    return sum_terms(BiChaosElement, f.grid, terms)
 
 
 def moments_from_cumulants(kappa, k_max: int) -> list[complex]:
@@ -107,7 +128,7 @@ def termwise_multiply(X: ChaosElement, Y: ChaosElement) -> ChaosElement:
         for m, g in Y.coeffs.items()
         for p in range(min(n, m) + 1)
     )
-    return ChaosElement._sum_by_key(X.grid, terms)
+    return sum_terms(ChaosElement, X.grid, terms)
 
 
 def termwise_sharp_multiply(X: BiChaosElement, Y: BiChaosElement) -> BiChaosElement:
@@ -120,7 +141,7 @@ def termwise_sharp_multiply(X: BiChaosElement, Y: BiChaosElement) -> BiChaosElem
         for p in range(min(n1, n2) + 1)
         for r in range(min(m1, m2) + 1)
     )
-    return BiChaosElement._sum_by_key(X.grid, terms)
+    return sum_terms(BiChaosElement, X.grid, terms)
 
 
 def number_inverse(X: ChaosElement) -> ChaosElement:

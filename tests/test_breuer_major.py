@@ -265,6 +265,62 @@ def test_gap_fast_memory_is_linear_in_m(n):
     assert peak < 16 * 2**20, peak / 2**20
 
 
+def test_gap_fast_memory_does_not_grow_with_n():
+    # the n - 1 entrywise powers of the lags were all held at once; now each
+    # u's two powers live only while its trace is formed
+    m = 64
+    peaks = {}
+    for n in (3, 2001):
+        cfg = BMConfig(n=n, H=0.3, m_list=(m,))
+        gap_fast(cfg, m)  # a first call fills numpy's caches, which stay
+        tracemalloc.start()
+        try:
+            gap_fast(cfg, m)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the 1998 more lag arrays of m float64 would add 1 MiB; allow 16 of them
+    assert peaks[2001] <= peaks[3] + 16 * m * 8, peaks
+
+
+def test_gap_fast_is_bit_identical_to_the_powers_of_every_lag():
+    # the gaps of the loop that formed every power r**v first, v = 1..n-1
+    for n in (2, 3, 4, 5):
+        for H, normalization in ((0.3, "exact_variance"), (0.6, "asymptotic_sigma")):
+            cfg = BMConfig(n=n, H=H, m_list=(4,), normalization=normalization)
+            for m in (1, 2, 5, 64, 200):
+                r = breuer_major._rho_lags(H, m)
+                powers = {v: r**v for v in range(1, n)}
+                want = sum(
+                    (1.0 if 2 * u == n else 2.0)
+                    * breuer_major._trace_abab(powers[u], powers[n - u])
+                    for u in range(1, n // 2 + 1)
+                ) / breuer_major._variance(cfg, r) ** 2
+                assert gap_fast(cfg, m) == want, (n, H, m)
+
+
+def test_orders_and_lags_from_two_to_the_53_are_refused():
+    # from 2^53 on a float64 no longer tells k + 1 from k: rho(0.7, 2**60)
+    # was exactly 0.0, and rho(0.7, 10**400) and sigma2_tail_bound at
+    # K = 10**400 raised OverflowError; a huge n ran gap_fast out of memory
+    for k in (2**53, -(2**53), 2**60, 10**400, -(10**400)):
+        with pytest.raises(ValueError, match="out of range"):
+            rho(0.7, k)
+    # accepted below 2^53, though the three powers cancel there to noise
+    assert rho(0.7, -(2**53 - 1)) == rho(0.7, 2**53 - 1)
+    for K in (2**53, 10**400):
+        with pytest.raises(ValueError, match="out of range"):
+            sigma2_tail_bound(2, 0.3, K)
+    assert sigma2_tail_bound(2, 0.3, 2**53 - 1) > 0.0
+    for n in (2**53, 10**300):
+        with pytest.raises(ValueError, match="out of range"):
+            BMConfig(n=n, H=0.3, m_list=(4,))
+        with pytest.raises(ValueError, match="out of range"):
+            sigma2_tail_bound(n, 0.3, 10)
+        with pytest.raises(ValueError, match="out of range"):
+            alpha(n, 0.3)
+
+
 @pytest.mark.parametrize("normalization", ["exact_variance", "asymptotic_sigma"])
 def test_vm_kernel_matches_outer_product_oracle(normalization):
     for n, sizes in ((2, (1, 2, 3, 8, 17, 64)), (3, (1, 2, 5, 12))):

@@ -193,6 +193,15 @@ def test_bound_check_seeds_differ(capsys):
     assert out1 == out3
 
 
+@pytest.mark.parametrize("seed", [2**64, 10**30])
+def test_bound_check_seed_beyond_64_bits_exits_two(capsys, seed):
+    # a Philox key word holds 64 bits: a larger seed escaped as OverflowError
+    # with exit 1, which the CLI reserves for failed identities
+    code, out, err = run(capsys, "bound-check", "--trials", "1", "--seed", str(seed))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed=") and "Traceback" not in err
+
+
 def test_bound_check_tiny_tol_leaves_closed_form_empty(capsys):
     # at this tol trial 35 passes the mirror and unit-norm checks but not
     # is_symmetric, so it has no closed form: its field is empty in CSV and

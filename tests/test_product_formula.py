@@ -1,8 +1,9 @@
 """The product and biproduct formulas against their per-term oracles.
 
-``chaos.multiply`` and ``bichaos.sharp_multiply`` sum the raw array of
-each term into one array per output key and wrap each sum once; the
-oracles in ``oracles.py`` make one checked kernel per term and sum those.
+``chaos.multiply`` and ``bichaos.sharp_multiply`` are one enumerator,
+``chaos._Expansion._product``: it sums the raw array of each term into one
+array per output split and wraps each sum once; the oracles in
+``oracles.py`` make one checked kernel per term and sum those.
 The terms come in the same order, so every kernel of order >= 1 agrees
 bit for bit; the order-0 coefficient is a full pairing and is compared at
 1e-13 relative.  The one cap check of each product refuses exactly the
@@ -151,8 +152,9 @@ def test_multiply_checks_each_order_once_and_builds_one_window_per_g_and_p(monke
 
 def test_sharp_multiply_checks_each_split_once_and_builds_one_window_per_v_p_r(monkeypatch):
     finite = count_calls(monkeypatch, grid_kernel, "_require_finite", lambda arr: None)
+    # the enumerator in chaos builds the windows of both products
     windows = count_calls(
-        monkeypatch, bichaos, "_window_matrix", lambda g, split, p, r: (split, p, r)
+        monkeypatch, chaos, "_window_matrix", lambda g, split, p, r: (split, p, r)
     )
     for i, splits_x in enumerate(SPLIT_SETS):
         for j, splits_y in enumerate(SPLIT_SETS):
@@ -170,7 +172,9 @@ def test_sharp_multiply_checks_each_split_once_and_builds_one_window_per_v_p_r(m
             sharp_multiply(X, Y)
             keys = {(n1 + n2 - 2 * p, m1 + m2 - 2 * r) for (n1, m1), (n2, m2), p, r in terms}
             assert len(finite) == len(keys)
-            want = {(v, p, r) for _, v, p, r in terms}
+            # the full pairings of one-leg kernels, (n, 0) and (n, 0) at p = n,
+            # need no window
+            want = {(v, p, r) for w, v, p, r in terms if not w == v == (p, 0)}
             assert sorted(windows) == sorted(want), (splits_x, splits_y)
 
 

@@ -14,7 +14,9 @@ check that refuses text, bools and None.  ``chaos.moment`` is held bit for bit t
 ``product_trace``, so the benchmark's two moment routes time one result.
 The last two keep the copying constructor ``Kernel(...)`` at the
 package's boundary, and check that what the package builds, which enters
-through ``_wrap``, is the kernel that constructor would have made.
+through ``_wrap``, is the kernel that constructor would have made.  Every
+private function and method must be read somewhere else in the package,
+so a replaced route cannot linger unused.
 """
 
 import ast
@@ -24,6 +26,7 @@ import json
 import pkgutil
 import sys
 import tracemalloc
+from collections import Counter
 from importlib import import_module
 from pathlib import Path
 
@@ -49,6 +52,7 @@ from wignerchaos.grid_kernel import (
 from wignerchaos.workloads import counterexample_kernel, random_symmetric_unit_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wignerchaos"
 
 
 def package_modules():
@@ -139,6 +143,32 @@ def test_every_package_reexport_resolves():
         source = import_module(f"wignerchaos.{node.module}")
         for alias in node.names:
             assert getattr(wignerchaos, alias.name) is getattr(source, alias.name), alias.name
+
+
+def names_used(node):
+    """Every name node reads under node: bare names and attribute names."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_every_private_function_is_used_in_the_package():
+    # a private function or method that nothing else in the package reads
+    # is a leftover route; an import alone, or a call from its own body,
+    # does not count as a use
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    used = Counter(name for tree in trees for name in names_used(tree))
+    unused = []
+    for tree in trees:
+        bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        for node in (n for body in bodies for n in body):
+            name = getattr(node, "name", "")
+            if isinstance(node, ast.FunctionDef) and name.startswith("_") and not name.endswith("__"):
+                if used[name] == names_used(node).count(name):
+                    unused.append(name)
+    assert not unused
 
 
 def test_no_test_oracle_is_public():
@@ -375,7 +405,7 @@ def kernel_calls(tree):
 
 def test_kernel_constructor_is_called_only_at_the_boundary():
     stray, doors = [], set()
-    for path in sorted((ROOT / "src" / "wignerchaos").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = set()
         for func in ast.walk(tree):

@@ -52,8 +52,12 @@ def test_random_symmetric_unit_kernel_terminates_on_every_scale():
 def test_random_symmetric_unit_kernel_rejects_negative_arguments():
     # Philox took a negative seed or index; a negative order failed late
     grid = GridSpec(1.0, 3)
-    for order, seed, index in ((2, -1, 0), (2, 0, -1), (-1, 0, 0)):
-        with pytest.raises(ValueError, match="must be >= 0"):
+    for order, seed, index, message in (
+        (2, -1, 0, r"^seed=-1 out of range \[0, 18446744073709551615\]$"),
+        (2, 0, -1, r"^index=-1 out of range \[0, 18446744073709551615\]$"),
+        (-1, 0, 0, "^order must be >= 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
             random_symmetric_unit_kernel(grid, order, seed, index)
 
 
@@ -81,3 +85,16 @@ def test_counterexample_kernel_refuses_over_cap_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_random_symmetric_unit_kernel_keys_every_64_bit_seed_exactly():
+    # a key given as a list of ints from 2^63 on passed through float64, so
+    # the seeds 2^63 and 2^63 + 1 drew the same kernel; 2^64 and up is refused
+    grid = GridSpec(1.0, 3)
+    draw = lambda seed, index=0: random_symmetric_unit_kernel(grid, 2, seed, index).data
+    assert (draw(2**63) != draw(2**63 + 1)).any()
+    assert (draw(2**64 - 1) != draw(2**64 - 2)).any()
+    assert (draw(5, 2**64 - 1) != draw(5, 2**64 - 2)).any()
+    for seed, index in ((2**64, 0), (0, 2**64), (10**30, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            random_symmetric_unit_kernel(grid, 2, seed, index)
