@@ -86,6 +86,7 @@ class BMConfig:
             raise ValueError("m_list must be strictly increasing")
         if not self.m_list:
             raise ValueError("m_list must be nonempty")
+        _require_trace_work(self.n, self.m_list[-1])
         _require_int("truncation", self.truncation, 1)
         _require_lag_entries("truncation", self.truncation, int(self.truncation) + 2)
         if self.normalization not in NORMALIZATIONS:
@@ -130,6 +131,31 @@ def _require_summable(n: int, H: float) -> None:
         raise ValueError(
             f"H={H} violates the summability condition "
             f"H < {(2 * n - 1) / (2 * n)} for n={n}"
+        )
+
+
+# the most work gap_fast is given, in steps of a trace pass: at about
+# 1.1-1.9 ns a step on one core of a 2-core Xeon (a pass at m = 2048 takes
+# 8.3 ms), 2^37 steps are three to four minutes, and n = 2001 at m = 64,
+# the costliest configuration of the tests and the benchmark, is 1000x
+# below it
+_MAX_TRACE_WORK = 2**37
+
+
+def _require_trace_work(n: int, m: int) -> None:
+    """Refuse an order n and sample size m whose gap_fast would not finish.
+
+    gap_fast makes floor(n/2) trace passes, and a pass at sample size m
+    costs about (m + 256)^2 steps: its O(m^2) work plus the fixed cost of
+    its numpy calls, about 73 us, which the 256 stands for.  Without that
+    term an n of 10^8 at m <= 8 would pass and run for hours.  n and m
+    have passed ``_require_int``.
+    """
+    work = (int(n) // 2) * (int(m) + 256) ** 2
+    if work > _MAX_TRACE_WORK:
+        raise ValueError(
+            f"n={n} at m={m} needs {int(n) // 2} trace passes, {work} steps "
+            f"in all, over the limit of {_MAX_TRACE_WORK} steps"
         )
 
 
@@ -408,8 +434,8 @@ def vm_kernel(cfg: BMConfig, m: int) -> Kernel:
     for _ in range(cfg.n - 2):
         K = (K[:, :, None] * L[:, None, :]).reshape(m, -1)
     raw = (K.T @ L).reshape((m,) * cfg.n)
-    scale = 1.0 / math.sqrt(_variance(cfg, _rho_lags(cfg.H, m)))
-    return Kernel._wrap(GridSpec(float(m), m), raw * scale)
+    raw *= 1.0 / math.sqrt(_variance(cfg, _rho_lags(cfg.H, m)))
+    return Kernel._wrap(GridSpec(float(m), m), raw)
 
 
 def gap_fast(cfg: BMConfig, m: int) -> float:
@@ -440,10 +466,13 @@ def gap_fast(cfg: BMConfig, m: int) -> float:
     * variance: sum(R^n) = m r_0^n + 2 sum_{d=1}^{m-1} (m-d) r_d^n.
 
     A sample size whose block buffer would exceed MAX_ENTRIES (m > 2^20 at
-    the default cap) is refused before any array is formed.
+    the default cap) is refused before any array is formed, and so is an
+    (n, m) whose floor(n/2) passes would take more than a few minutes (see
+    ``_require_trace_work``), as BMConfig refuses it for its largest m.
     """
     _require_int("m", m, 1)
     _require_lag_entries("m", m, _gap_entries(m))
+    _require_trace_work(cfg.n, m)
     n = cfg.n
     r = _rho_lags(cfg.H, m)
     total = 0.0

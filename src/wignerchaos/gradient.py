@@ -90,9 +90,11 @@ def _quadratic_form_slots(n: int, f: Kernel):
     matrix is built once per (q, s'): sum_q (n-q+1) = n(n+1)/2 matrices,
     each the size of f.  Each slot is one array owned here: its first term
     is written straight into it and each later term into one scratch buffer
-    per q, reused, then added in place.  Only that slot, the scratch buffer,
-    the current left factor, the n adjoint right factors and the window
-    matrices of one q are alive while a slot is built.
+    per q, reused, then added in place.  The generator drops its reference
+    to each slot as it yields it, so while a slot is built only that slot,
+    the scratch buffer, the current left factor, the n adjoint right
+    factors, the window matrices of one q and whatever slots the caller
+    keeps are alive.
 
     n >= 1 and the order of f are checked first.  Every slot has order at
     most 2(n-1), so one cap check, made before any factor is built, covers
@@ -116,11 +118,14 @@ def _quadratic_form_slots(n: int, f: Kernel):
             acc = np.empty(shape, f.data.dtype)
             first = max(0, v - free)
             for s in range(first, min(v, free) + 1):
-                out = acc if s == first else scratch
-                _bicontract_array(left, (s + 1, n - s - 1), windows[v - s], 1, q - 1, out)
+                _bicontract_array(
+                    left, (s + 1, n - s - 1), windows[v - s], 1, q - 1,
+                    acc if s == first else scratch,
+                )
                 if s > first:
                     acc += scratch
             yield (v, 2 * free - v), acc
+            del acc  # before the next slot is allocated
 
 
 def gradient_quadratic_form(n: int, f: Kernel) -> BiChaosElement:
@@ -170,12 +175,13 @@ def main_bound_lhs(n: int, f: Kernel) -> float:
     The slots of Q are orthogonal, so the squared bi-norm is the sum over
     splits of h^order * ||slot - delta_{order,0}||^2.  Each slot is taken
     from _quadratic_form_slots, reduced to that float by one vdot, as
-    ``inner`` computes it, and dropped, so at most two slot arrays and one
-    scratch buffer are alive at a time.  Only a square that is not finite
-    sends the slot to the entry check: a non-finite entry raises, and an
-    overflowed square of finite entries stays inf.  The floats are added
-    in sorted split order, the order norm2 uses, so the result is
-    bit-identical to norm2(gradient_quadratic_form(n, f) - 1 (x) 1).
+    ``inner`` computes it, and dropped before the next slot is requested,
+    so one slot array and one scratch buffer are alive at a time.  Only a
+    square that is not finite sends the slot to the entry check: a
+    non-finite entry raises, and an overflowed square of finite entries
+    stays inf.  The floats are added in sorted split order, the order
+    norm2 uses, so the result is bit-identical to
+    norm2(gradient_quadratic_form(n, f) - 1 (x) 1).
     """
     h = f.grid.cell_width
     parts = {}
@@ -187,6 +193,7 @@ def main_bound_lhs(n: int, f: Kernel) -> float:
         if not math.isfinite(part):
             _require_finite(acc)
         parts[split] = part
+        del acc  # the generator allocates the next slot on the next step
     total = 0.0
     for split in sorted(parts):
         total += parts[split]

@@ -34,10 +34,12 @@ convention is implemented, and ``_bicontract_array`` multiplies the left
 factor by that matrix, so a caller that pairs one right factor with many
 left factors builds its matrix once.  The one exception is the full
 pairing of two one-leg kernels of order n at p = n, the scalar that phi
-reads: ``_full_pairing`` computes it without that matrix.  That choice
-is made once, in ``_pair_array``, whose raw result ``contract`` and
-``bicontract`` wrap and the product formulas of ``chaos`` sum, so every
-contraction has exactly one route.
+reads: ``_full_pairing`` computes it without that matrix, copying g a
+block of at most ``_PAIRING_BLOCK`` entries (or one row) at a time into
+one scratch buffer, so it never holds a second array as large as g.
+That choice is made once, in ``_pair_array``, whose raw result
+``contract`` and ``bicontract`` wrap and the product formulas of
+``chaos`` sum, so every contraction has exactly one route.
 """
 
 from __future__ import annotations
@@ -661,6 +663,12 @@ def _bicontract_array(f: Kernel, f_split, G: np.ndarray, p: int, r: int, out=Non
     return out
 
 
+# entries of g copied per block of _full_pairing: 1 MiB of float64, a few
+# times the L2 share of one core, so the copy and the pairing of a block
+# meet it in cache, and kernels up to this size take one block
+_PAIRING_BLOCK = 2**17
+
+
 def _full_pairing(f: Kernel, g: Kernel):
     """The scalar of ``contract(f, g, n)`` for two kernels of order n.
 
@@ -670,17 +678,47 @@ def _full_pairing(f: Kernel, g: Kernel):
     as an (N^floor(n/2), N^ceil(n/2)) matrix and Gr = g with the axes
     reversed within each half.  That copy keeps each half's axes together,
     where reversing all n axes at once, as the window matrix would, reads g
-    with a large stride for every entry.  h^n scales the sum, not the
-    array.  A numpy scalar, float64 when both kernels are real.
-    Unvalidated.
+    with a large stride for every entry.
+
+    Gr is never formed whole: it is copied a block of consecutive rows at
+    a time into one scratch buffer of at most _PAIRING_BLOCK entries (one
+    row when a row alone is larger), and each block is paired with the
+    matching column block of F, a view.  A block fixes the fewest leading
+    axes of Gr's row index, which are g's first-half axes taken from the
+    middle outward, and takes the next one a run of cells at a time.  A
+    kernel of at most _PAIRING_BLOCK entries is one block, one product of
+    F and Gr.  h^n scales the sum, not the array.  A numpy scalar, float64
+    when both kernels are real.  Unvalidated.
     """
     n = f.order
     a, b = n // 2, n - n // 2
     cells = f.grid.cells
-    g_perm = (*range(b - 1, -1, -1), *range(n - 1, b - 1, -1))
-    Gr = np.transpose(g.data, g_perm).reshape(cells**b, cells**a)
-    F = f.data.reshape(cells**a, cells**b)
-    return f.grid.cell_width**n * np.einsum("xy,yx->", F, Gr)
+    width = cells**a  # entries of one row of Gr
+    rows = _PAIRING_BLOCK // width or 1  # rows of Gr per block
+    fixed = 0  # leading row axes a block fixes, the last one in runs of cells
+    while cells ** (b - fixed) > rows:
+        fixed += 1
+    if fixed:
+        step = rows // cells ** (b - fixed)
+        # y's leading axes are f's axes a, a+1, ... and g's axes b-1, b-2, ...
+        blocks = (
+            ((slice(None),) * a + (*u, run), (slice(None),) * (b - fixed) + (run, *u[::-1]))
+            for u in np.ndindex(*(cells,) * (fixed - 1))
+            for run in (slice(s, s + step) for s in range(0, cells, step))
+        )
+        lead = b - fixed + 1  # first-half axes of g left in a block
+    else:
+        blocks, lead = [((), ())], b
+    perm = (*range(lead - 1, -1, -1), *range(lead + a - 1, lead - 1, -1))
+    buf = np.empty((min(rows, cells**b), width), g.data.dtype)
+    total = None
+    for f_index, g_index in blocks:
+        block = np.transpose(g.data[g_index], perm)
+        Gr = buf[: block.size // width]
+        np.copyto(Gr.reshape(block.shape), block)
+        part = np.einsum("xy,yx->", f.data[f_index].reshape(width, -1), Gr)
+        total = part if total is None else total + part
+    return f.grid.cell_width**n * total
 
 
 def slice_kernel(f: Kernel, k: int, s: int) -> SplitKernel:

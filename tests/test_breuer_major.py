@@ -376,6 +376,36 @@ def test_alpha_branches():
         alpha(2.5, 0.7)
 
 
+def test_orders_whose_gap_would_not_finish_are_refused(monkeypatch):
+    # any n below 2^53 passed, and gap_fast makes floor(n/2) trace passes:
+    # n = 10^12 ran for ever.  At each m the largest n within the limit is
+    # accepted and the next one refused, before any lag is formed
+    def no_lags(H, count):
+        raise AssertionError("a gap was computed")
+
+    monkeypatch.setattr(breuer_major, "_rho_lags", no_lags)
+    limit = breuer_major._MAX_TRACE_WORK
+    for m in (1, 64, 2048):
+        passes = limit // (m + 256) ** 2
+        BMConfig(n=2 * passes + 1, H=0.3, m_list=(m,))
+        n = 2 * passes + 2
+        with pytest.raises(ValueError, match=f"^n={n} at m={m} needs {passes + 1} trace passes"):
+            BMConfig(n=n, H=0.3, m_list=(m,))
+    # the largest m of the list decides, and gap_fast checks the m it is given
+    with pytest.raises(ValueError, match="^n=1000000000000 at m=8 needs"):
+        BMConfig(n=10**12, H=0.3, m_list=(1, 2, 4, 8))
+    cfg = BMConfig(n=2 * (limit // 257**2) + 1, H=0.3, m_list=(1,))
+    with pytest.raises(ValueError, match=r"^n=\d+ at m=2048 needs"):
+        gap_fast(cfg, 2048)
+
+
+def test_every_configuration_in_use_is_far_below_the_work_limit():
+    # the costliest gap_fast calls of the tests, the CLI defaults and the
+    # benchmark: n = 2001 at m = 64, and m = 4096 at n = 3
+    for n, m in ((2001, 64), (3, 4096), (3, 2048), (2, 512)):
+        assert 1000 * (n // 2) * (m + 256) ** 2 <= breuer_major._MAX_TRACE_WORK, (n, m)
+
+
 def test_bmconfig_validation():
     with pytest.raises(ValueError):
         BMConfig(n=2, H=0.75, m_list=(8, 16))

@@ -411,3 +411,14 @@ def test_breuer_major_over_cap_sample_size_exits_two_before_the_sweep(capsys, mo
     code, out, err = run(capsys, "breuer-major", "--m", "4,8,16", "--truncation", "2048")
     assert (code, out) == (2, "")
     assert err.startswith("error: truncation=2048 needs an array of")
+
+
+def test_breuer_major_order_too_large_to_finish_exits_two_before_the_sweep(capsys, monkeypatch):
+    # --n 1000000000000 made gap_fast run 5 * 10^11 trace passes, for ever
+    def no_lags(H, count):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(breuer_major, "_rho_lags", no_lags)
+    code, out, err = run(capsys, "breuer-major", "--n", "1000000000000", "--H", "0.3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n=1000000000000 at m=512 needs 500000000000 trace passes")

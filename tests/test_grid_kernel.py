@@ -345,6 +345,78 @@ def test_full_pairing_matches_the_window_route(cells):
             assert abs(got - complex(want)) <= 1e-13 * abs(complex(want)), (n, complex_)
 
 
+def one_product_pairing(f, g):
+    # the full pairing as one product of F with the whole half-reversed
+    # copy Gr of g: the single block of _full_pairing
+    n, cells = f.order, f.grid.cells
+    a, b = n // 2, n - n // 2
+    g_perm = (*range(b - 1, -1, -1), *range(n - 1, b - 1, -1))
+    Gr = np.transpose(g.data, g_perm).reshape(cells**b, cells**a)
+    F = f.data.reshape(cells**a, cells**b)
+    return f.grid.cell_width**n * np.einsum("xy,yx->", F, Gr)
+
+
+def window_pairing(f, g):
+    # the window-matrix route, and h^n sum |f[i] g[rev i]|, the size of the
+    # terms it sums: a block-wise sum may differ from it by a few roundings
+    # of that size, however much the terms cancel
+    n = f.order
+    window = grid_kernel_module._window_matrix(g, (n, 0), n, 0)
+    want = grid_kernel_module._bicontract_array(f, (n, 0), window, n, 0)
+    rev = np.transpose(g.data, tuple(range(n - 1, -1, -1)))
+    return want, f.grid.cell_width**n * float(np.sum(np.abs(f.data * rev)))
+
+
+def random_pair(n, cells, complex_, seed):
+    grid = GridSpec(2.5, cells)
+    rng = np.random.default_rng(seed)
+    parts = [rng.standard_normal((2,) + (cells,) * n) for _ in range(2)]
+    return [Kernel(grid, n, re + 1j * im if complex_ else re) for re, im in parts]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n, cells", [(6, 8), (5, 12), (3, 64), (2, 512)])
+def test_blocked_full_pairing_matches_the_window_route(n, cells, complex_):
+    # kernels above _PAIRING_BLOCK entries are paired a block of g at a time
+    assert cells**n > grid_kernel_module._PAIRING_BLOCK
+    f, g = random_pair(n, cells, complex_, seed=60 + n)
+    got = grid_kernel_module._full_pairing(f, g)
+    want, scale = window_pairing(f, g)
+    assert np.asarray(got).dtype == want.dtype
+    assert abs(got - complex(want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("block", [1, 5, 30, 200])
+def test_full_pairing_matches_the_window_route_at_any_block_size(block, monkeypatch):
+    # small blocks reach every case on small kernels: one row of Gr per
+    # block when a row alone is larger, several fixed axes, and runs of a
+    # row axis whose last run is short
+    monkeypatch.setattr(grid_kernel_module, "_PAIRING_BLOCK", block)
+    for n in range(7):
+        for cells in (2, 3, 5):
+            for complex_ in (False, True):
+                f, g = random_pair(n, cells, complex_, seed=70 + n)
+                got = grid_kernel_module._full_pairing(f, g)
+                want, scale = window_pairing(f, g)
+                assert np.asarray(got).dtype == want.dtype, (n, cells)
+                assert abs(got - complex(want)) <= 1e-13 * scale, (n, cells, complex_)
+
+
+def test_full_pairing_of_one_block_is_the_one_product_bit_for_bit():
+    # up to _PAIRING_BLOCK entries, one block: the arithmetic of the single
+    # product of F and Gr, down to the last bit and the scalar type
+    limit = grid_kernel_module._PAIRING_BLOCK
+    shapes = [(n, 3) for n in range(8)] + [(17, 2), (4, 19), (2, 362), (1, limit)]
+    for n, cells in shapes:
+        assert cells**n <= limit
+        f, g = random_pair(n, cells, True, seed=80 + n)
+        for pair in ((f, g), (f.data.real, g), (f, g.data.real), (f.data.real, g.data.real)):
+            x, y = (k if isinstance(k, Kernel) else Kernel(f.grid, n, k) for k in pair)
+            got = grid_kernel_module._full_pairing(x, y)
+            want = one_product_pairing(x, y)
+            assert type(got) is type(want) and got == want, (n, cells)
+
+
 def test_contract_one_matches_matrix_product():
     f, g = rand(2, seed=16), rand(2, seed=17)
     out = contract(f, g, 1)

@@ -8,7 +8,9 @@ checks fail, in the tier-1 suite.  The integer test holds every public
 integer parameter, and every integer in the keys of a public dict
 parameter, to the package's one integer check; the over-cap table holds
 every public function whose size decides an allocation to a
-``MemoryCapError`` before its first array; the next holds every
+``MemoryCapError`` before its first array, and the memory-ceiling table
+holds calls whose scratch memory is bounded (phi's full pairing, the lhs
+of the bound, ``vm_kernel``) to a traced peak; the next holds every
 tolerance, Hurst index and real argument of the bound constants to a
 check that refuses text, bools and None.  ``chaos.moment`` is held bit for bit to the benchmark's
 ``product_trace``, so the benchmark's two moment routes time one result.
@@ -37,7 +39,8 @@ import wignerchaos
 from wignerchaos import grid_kernel
 from wignerchaos.bichaos import from_split_kernel
 from wignerchaos.breuer_major import NORMALIZATIONS, BMConfig, increment_kernels, vm_kernel
-from wignerchaos.chaos import from_kernel
+from wignerchaos.chaos import from_kernel, trace_of_product
+from wignerchaos.gradient import main_bound_lhs
 from wignerchaos.grid_kernel import (
     GridSpec,
     Kernel,
@@ -361,6 +364,43 @@ def test_every_sized_public_function_refuses_over_cap_before_allocating(
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+def memory_ceilings():
+    """label -> (call, ceiling): one call and the most memory it may trace.
+
+    The inputs are built here, before tracing starts, so the ceiling bounds
+    what the call allocates itself: scratch memory and its result.
+    """
+    grid = GridSpec(1.0, 10)
+    Y = from_kernel(6, Kernel(grid, 6, np.random.default_rng(0).standard_normal((10,) * 6)))
+    f = random_symmetric_unit_kernel(GridSpec(1.0, 8), 4, 0, 0)
+    slot = 8**6 * 8  # a slot of order 2(n-1) = 6 on 8 cells, float64
+    cfg = BMConfig(n=2, H=0.3, m_list=(512,), truncation=100)
+    square = 512**2 * 8  # one m x m float64 array, the size of the factor
+    return {
+        # phi's full pairing copied the whole of Y's order-6 kernel
+        "trace_of_product order 6 on 10 cells": (
+            lambda: trace_of_product(Y, Y), Y.coeffs[6].data.nbytes / 4
+        ),
+        # one slot and one scratch buffer; three slots were alive
+        "main_bound_lhs n=4 on 8 cells": (lambda: main_bound_lhs(4, f), 2.25 * slot),
+        # the factor and its product, scaled in place; a scaled copy made three
+        "vm_kernel n=2 m=512": (lambda: vm_kernel(cfg, 512), 3 * square),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(memory_ceilings()))
+def test_each_call_stays_under_its_memory_ceiling(label):
+    call, ceiling = memory_ceilings()[label]
+    call()  # a first call fills numpy's caches, which stay
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling, (peak / 2**20, ceiling / 2**20)
 
 
 # the parameters that carry a tolerance, a Hurst index or a real argument
