@@ -27,8 +27,7 @@ from .grid_kernel import (
     GridSpec,
     SplitKernel,
     _check_same_grid,
-    _require_int,
-    _require_pair,
+    _require_split,
     adjoint_split,
     constant_kernel,
     contract,
@@ -58,10 +57,7 @@ class BiChaosElement(_Expansion):
 
     def __init__(self, grid: GridSpec, coeffs: dict[tuple[int, int], SplitKernel]):
         for split in coeffs:
-            _require_pair(split)
-            a, b = split
-            _require_int("split[0]", a, 0)
-            _require_int("split[1]", b, 0)
+            _require_split(split)
         super().__init__(grid, coeffs)
 
     _key = _split = staticmethod(lambda w: w.split)

@@ -30,6 +30,8 @@ exact free-cumulant path for elements of the form I_2(g).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grid_kernel import (
@@ -117,55 +119,37 @@ class _Expansion:
         """X Y by the biproduct formula, each kernel read in its split.
 
         The one product enumerator: ``chaos.multiply`` (order n read as the
-        split (n, 0), so r is always 0) and ``bichaos.sharp_multiply``.  The
-        terms come in the order X's keys, Y's keys, p, r ascending, each the
-        raw array of ``_pair_array``, and are summed per output split by
-        ``_sum_arrays``.  The window matrix of (g's split, p, r) is built
-        once and serves every kernel of X.  The top output order, at
-        p = r = 0, is the largest a + b of X plus that of Y, so one cap
-        check before any product refuses exactly the requests that a check
-        per term would refuse.
+        split (n, 0), so r is always 0) and ``bichaos.sharp_multiply``.  One
+        loop runs over X's keys, Y's keys, p, r ascending; each term is the
+        raw array of ``_pair_array``, and the first term of an output split
+        becomes its sum, the later ones added into it in place by
+        ``_add_into``.  Each sum is wrapped in a Kernel, without a copy, once
+        at the end, so its entries are checked once, however many terms it
+        has.  The window matrices are cached for this product alone: each
+        split of Y holds one g, so one matrix per (g's split, p, r) serves
+        every kernel of X, and all of them are freed when the product
+        returns.  The top output order, at p = r = 0, is the largest a + b
+        of X plus that of Y, so one cap check before any product refuses
+        exactly the requests that a check per term would refuse.
         """
         _check_same_grid(X, Y)
         xs = [(cls._split(t), cls._kernel(t)) for t in X.coeffs.values()]
         ys = [(cls._split(t), cls._kernel(t)) for t in Y.coeffs.values()]
         top = sum(max([f.order for _, f in ks], default=0) for ks in (xs, ys))
         _require_capacity(X.grid.cells, top)
-        windows = {}
-
-        def window(g, g_split, p, r):
-            if (g_split, p, r) not in windows:
-                windows[g_split, p, r] = _window_matrix(g, g_split, p, r)
-            return windows[g_split, p, r]
-
-        def pairs():
-            for f_split, f in xs:
-                n1, m1 = f_split
-                for g_split, g in ys:
-                    n2, m2 = g_split
-                    rs = range(min(m1, m2) + 1)
-                    for p in range(min(n1, n2) + 1):
-                        for r in rs:
-                            out = (n1 + n2 - 2 * p, m1 + m2 - 2 * r)
-                            yield out, _pair_array(f, f_split, g, g_split, p, r, window)
-
-        return cls._sum_arrays(X.grid, pairs())
-
-    @classmethod
-    def _sum_arrays(cls, grid: GridSpec, pairs):
-        """The element of (split, array) pairs on grid, arrays of equal split summed.
-
-        Each array is a fresh result the caller hands over: the first of a
-        split becomes its sum, and the later ones are added into it in
-        place, left to right.  Each sum is wrapped in a Kernel, without a
-        copy, once at the end, so its entries are checked once, however
-        many terms it has; the element keys each term by its own ``_key``.
-        """
+        window = functools.cache(_window_matrix)
         sums = {}
-        for split, data in pairs:
-            sums[split] = _add_into(sums[split], data) if split in sums else data
-        terms = [cls._term(Kernel._wrap(grid, data), split) for split, data in sums.items()]
-        return cls(grid, {cls._key(t): t for t in terms})
+        for f_split, f in xs:
+            n1, m1 = f_split
+            for g_split, g in ys:
+                n2, m2 = g_split
+                for p in range(min(n1, n2) + 1):
+                    for r in range(min(m1, m2) + 1):
+                        out = (n1 + n2 - 2 * p, m1 + m2 - 2 * r)
+                        data = _pair_array(f, f_split, g, g_split, p, r, window)
+                        sums[out] = _add_into(sums[out], data) if out in sums else data
+        terms = [cls._term(Kernel._wrap(X.grid, data), out) for out, data in sums.items()]
+        return cls(X.grid, {cls._key(t): t for t in terms})
 
     def _map(self, fn):
         """The element with fn(term) in place of each term."""

@@ -30,7 +30,14 @@ from .bichaos import BiChaosElement, norm2
 from .breuer_major import NORMALIZATIONS, BMConfig, rate_fit
 from .chaos import fourth_moment_gap
 from .gradient import bound_report, main_bound_lhs
-from .grid_kernel import GridSpec, SplitKernel, adjoint_split, bicontract, inner
+from .grid_kernel import (
+    GridSpec,
+    SplitKernel,
+    _require_capacity,
+    adjoint_split,
+    bicontract,
+    inner,
+)
 from .workloads import counterexample_kernel, random_symmetric_unit_kernel
 
 __all__ = [
@@ -120,6 +127,10 @@ def run_counterexample(N: list[int], tol: float):
 def run_bound_check(n: int, grid: int, trials: int, seed: int, tol: float):
     fields = ["trial", "gap", "lhs", "lhs_closed_form", "ratio", "bound_satisfied"]
     spec = GridSpec(1.0, grid)
+    if trials:
+        # the largest slot of the quadratic form (see gradient._quadratic_form_slots),
+        # refused before the first draw rather than by bound_report after it
+        _require_capacity(grid, 2 * (n - 1))
     rows, failures = [], []
     max_ratio = -math.inf
     max_path_diff = 0.0
@@ -250,6 +261,10 @@ def _checked(parse, valid=None, need: str = ""):
 
 _NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
+# run_constants evaluates P O(n_max^2) times: n_max = 2000 takes about 5 s
+# on a 2-core host, so this bound is about a minute and a half
+_MAX_N_MAX = 8192
+
 # Only what the library may never see is checked here (a --seed with
 # --trials 0 reaches no kernel); the library's integer check owns the
 # ranges of the other keys.
@@ -257,7 +272,9 @@ _CONVERTERS = {
     "format": _checked(str, ("csv", "json").__contains__, "csv or json"),
     "out": str,
     "tol": _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "n_max": _checked(int, lambda v: v >= 2, "an integer >= 2"),
+    "n_max": _checked(
+        int, lambda v: 2 <= v <= _MAX_N_MAX, f"an integer in [2, {_MAX_N_MAX}]"
+    ),
     "N": _checked(_int_list),
     "n": _checked(int),
     "grid": _checked(int),

@@ -146,10 +146,17 @@ def _require_int(name: str, value, low, high=None) -> None:
         raise ValueError(f"{name}={value} out of range [{low}, {high}]")
 
 
-def _require_pair(split) -> None:
-    """Raise ValueError unless split is a tuple of two, before it is unpacked."""
+def _require_split(split, high=None) -> None:
+    """Raise ValueError unless split is a pair of integers in [0, high].
+
+    The one check of a leg split: a tuple of two, checked before it is
+    indexed, then each leg by ``_require_int``; high=None leaves the legs
+    open above.
+    """
     if not (isinstance(split, tuple) and len(split) == 2):
         raise ValueError(f"split must be a pair of integers, got {split!r}")
+    _require_int("split[0]", split[0], 0, high)
+    _require_int("split[1]", split[1], 0, high)
 
 
 def _require_order(n, f: Kernel, low) -> None:
@@ -334,11 +341,9 @@ class SplitKernel:
     split: tuple[int, int]
 
     def __post_init__(self):
-        _require_pair(self.split)
-        a, b = self.split
         order = self.kernel.order
-        _require_int("split[0]", a, 0, order)
-        _require_int("split[1]", b, 0, order)
+        _require_split(self.split, order)
+        a, b = self.split
         if a + b != order:
             raise ValueError(
                 f"split {self.split} inconsistent with kernel order {order}"
@@ -469,14 +474,24 @@ def is_symmetric(f: Kernel, tol: float = 1e-9) -> bool:
     return True
 
 
+#: Highest order ``symmetrize`` accepts: it sums all order! transposes.
+_SYMMETRIZE_MAX_ORDER = 8
+
+
+def _require_symmetrizable(order: int) -> None:
+    """Raise ValueError if ``symmetrize`` would refuse an order-`order` kernel."""
+    if order > _SYMMETRIZE_MAX_ORDER:
+        raise ValueError(f"symmetrize rejects order > {_SYMMETRIZE_MAX_ORDER} (factorial blowup)")
+
+
 def symmetrize(f: Kernel) -> Kernel:
     """Average of f over all argument permutations (real kernels only).
 
     The imaginary part, if any, is dropped with a warning, and the result
-    is float64.  Orders above 8 are rejected (n! transposes).
+    is float64.  Orders above ``_SYMMETRIZE_MAX_ORDER`` = 8 are rejected
+    (n! transposes).
     """
-    if f.order > 8:
-        raise ValueError("symmetrize rejects order > 8 (factorial blowup)")
+    _require_symmetrizable(f.order)
     data = f.data
     if np.any(data.imag != 0):
         warnings.warn("symmetrize: dropping nonzero imaginary part", stacklevel=2)

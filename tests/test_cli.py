@@ -319,7 +319,12 @@ def test_tol_echoed_in_header(capsys):
 
 @pytest.mark.parametrize(
     "line, subcommand",
-    [("format=xml", "constants"), ("m=16,x", "breuer-major"), ("trials=-1", "bound-check")],
+    [
+        ("format=xml", "constants"),
+        ("m=16,x", "breuer-major"),
+        ("trials=-1", "bound-check"),
+        ("n-max=1000000", "constants"),
+    ],
 )
 def test_bad_config_value_exits_two_at_its_line(tmp_path, capsys, line, subcommand):
     # config values go through the same converters as flags
@@ -337,6 +342,7 @@ def test_bad_config_value_exits_two_at_its_line(tmp_path, capsys, line, subcomma
         ("--tol", "nan", "counterexample"),
         ("--tol", "-1", "constants"),
         ("bound-check", "--trials", "-3"),
+        ("constants", "--n-max", "1000000"),
     ],
 )
 def test_bad_flag_value_exits_two(capsys, argv):
@@ -413,12 +419,37 @@ def test_breuer_major_over_cap_sample_size_exits_two_before_the_sweep(capsys, mo
     assert err.startswith("error: truncation=2048 needs an array of")
 
 
-def test_breuer_major_order_too_large_to_finish_exits_two_before_the_sweep(capsys, monkeypatch):
-    # --n 1000000000000 made gap_fast run 5 * 10^11 trace passes, for ever
-    def no_lags(H, count):
-        raise AssertionError("the sweep started")
+# argv, the function the run would start with, and the error it must give instead
+TOO_LARGE_TO_FINISH = {
+    # gap_fast would make 5 * 10^11 trace passes, for ever
+    "breuer-major": (
+        ("breuer-major", "--n", "1000000000000", "--H", "0.3"),
+        (breuer_major, "_rho_lags"),
+        "error: n=1000000000000 at m=512 needs 500000000000 trace passes",
+    ),
+    # about 70 minutes of order-8 draws before bound_report refused order 14
+    "bound-check-order-14": (
+        ("bound-check", "--n", "8", "--grid", "9"),
+        (cli, "random_symmetric_unit_kernel"),
+        "error: output of order 14 on 9 cells exceeds the cap",
+    ),
+    # a 576 MiB draw before symmetrize refused order 26
+    "bound-check-order-26": (
+        ("bound-check", "--n", "26", "--grid", "2", "--trials", "1"),
+        (cli, "random_symmetric_unit_kernel"),
+        "error: output of order 50 on 2 cells exceeds the cap",
+    ),
+}
 
-    monkeypatch.setattr(breuer_major, "_rho_lags", no_lags)
-    code, out, err = run(capsys, "breuer-major", "--n", "1000000000000", "--H", "0.3")
+
+@pytest.mark.parametrize("case", TOO_LARGE_TO_FINISH)
+def test_run_too_large_to_finish_exits_two_before_it_starts(capsys, monkeypatch, case):
+    argv, (module, name), message = TOO_LARGE_TO_FINISH[case]
+
+    def started(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(module, name, started)
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: n=1000000000000 at m=512 needs 500000000000 trace passes")
+    assert err.startswith(message)

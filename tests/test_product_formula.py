@@ -178,6 +178,20 @@ def test_sharp_multiply_checks_each_split_once_and_builds_one_window_per_v_p_r(m
             assert sorted(windows) == sorted(want), (splits_x, splits_y)
 
 
+def test_window_cache_lives_for_one_product(monkeypatch):
+    # a cache that outlived its product would serve the second call from the
+    # first, and would keep every g it was keyed on alive
+    windows = count_calls(monkeypatch, chaos, "_window_matrix", lambda *args: None)
+    X = chaos_element(0, (1, 2, 3), "real")
+    W = bichaos_element(1, ((1, 0), (0, 1), (2, 1)), "complex")
+    for product, A in ((multiply, X), (sharp_multiply, W)):
+        windows.clear()
+        product(A, A)
+        once = len(windows)
+        product(A, A)
+        assert once > 0 and len(windows) == 2 * once
+
+
 def test_overflowing_products_are_refused():
     big = Kernel(GRID, 2, np.full((2, 2), 1e200))
     X = from_kernel(2, big)

@@ -74,6 +74,19 @@ def test_random_symmetric_unit_kernel_refuses_over_cap_before_drawing(monkeypatc
     assert peak < 2**20
 
 
+def test_random_symmetric_unit_kernel_refuses_an_order_symmetrize_refuses_before_drawing():
+    # 2**20 entries are under the cap, but symmetrize refuses order 20: the
+    # 8 MiB draw used to come first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="symmetrize rejects order > 8"):
+            random_symmetric_unit_kernel(GridSpec(1.0, 2), 20, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_counterexample_kernel_refuses_over_cap_before_allocating(monkeypatch):
     # 64**3 entries exceed a cap of 2**16: refused before the 2 MiB array
     monkeypatch.setattr(grid_kernel, "MAX_ENTRIES", 2**16)
