@@ -49,7 +49,6 @@ import numbers
 import struct
 import warnings
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -466,7 +465,7 @@ def is_symmetric(f: Kernel, tol: float = 1e-9) -> bool:
     """
     _require_tolerance("tol", tol)
     bound = tol * float(np.max(np.abs(f.data)))
-    if float(np.max(np.abs(f.data.imag))) > bound:
+    if f.data.dtype.kind == "c" and float(np.max(np.abs(f.data.imag))) > bound:
         return False
     for i in range(f.order - 1):
         if float(np.max(np.abs(f.data - np.swapaxes(f.data, i, i + 1)))) > bound:
@@ -474,35 +473,29 @@ def is_symmetric(f: Kernel, tol: float = 1e-9) -> bool:
     return True
 
 
-#: Highest order ``symmetrize`` accepts: it sums all order! transposes.
-_SYMMETRIZE_MAX_ORDER = 8
-
-
-def _require_symmetrizable(order: int) -> None:
-    """Raise ValueError if ``symmetrize`` would refuse an order-`order` kernel."""
-    if order > _SYMMETRIZE_MAX_ORDER:
-        raise ValueError(f"symmetrize rejects order > {_SYMMETRIZE_MAX_ORDER} (factorial blowup)")
-
-
 def symmetrize(f: Kernel) -> Kernel:
     """Average of f over all argument permutations (real kernels only).
 
     The imaginary part, if any, is dropped with a warning, and the result
-    is float64.  Orders above ``_SYMMETRIZE_MAX_ORDER`` = 8 are rejected
-    (n! transposes).
+    is float64.  Each permutation of k axes is, in exactly one way, a swap
+    of axis k-1 with an axis i <= k-1 (i = k-1: no swap) followed by a
+    permutation of the first k-1 axes, so Sym_k = Sym_(k-1) o (1/k) sum_i
+    swap(i, k-1).  For k = n, ..., 2 that average is taken into one owned
+    array: k-1 swapped adds per step, n(n-1)/2 in all, where the sum over
+    every permutation would take n! transposes.
     """
-    _require_symmetrizable(f.order)
-    data = f.data
-    if np.any(data.imag != 0):
+    if f.data.dtype.kind == "c" and np.any(f.data.imag != 0):
         warnings.warn("symmetrize: dropping nonzero imaginary part", stacklevel=2)
-    data = data.real
+    data = f.data.real
     if f.order < 2:
         return Kernel._wrap(f.grid, data.copy())
-    acc = np.zeros(data.shape)
-    for perm in permutations(range(f.order)):
-        acc += np.transpose(data, perm)
-    acc /= math.factorial(f.order)
-    return Kernel._wrap(f.grid, acc)
+    for k in range(f.order, 1, -1):
+        step = data.copy()
+        for i in range(k - 1):
+            step += np.swapaxes(data, i, k - 1)
+        step /= k
+        data = step
+    return Kernel._wrap(f.grid, data)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .grid_kernel import (
     Kernel,
     _require_capacity,
     _require_int,
-    _require_symmetrizable,
     norm,
     symmetrize,
 )
@@ -35,14 +34,13 @@ def random_symmetric_unit_kernel(
     below 2^64.
     Draws whose symmetrization has no entry of modulus 1e-8 or more are
     rejected; the entries do not depend on the grid length, so neither
-    does the decision.  An order over the cap or above what ``symmetrize``
-    accepts is refused before anything is drawn.
+    does the decision.  An order over the cap is refused before anything is
+    drawn.
     """
     _require_int("order", order, 0)
     _require_int("seed", seed, 0, 2**64 - 1)
     _require_int("index", index, 0, 2**64 - 1)
     _require_capacity(grid.cells, order)  # before the draw, not after it
-    _require_symmetrizable(order)
     # as a list, a seed from 2^63 on would pass through float64 and lose bits
     key = np.array([seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))

@@ -24,6 +24,10 @@ and contraction size.
 left to right by the public ``+``, so it shares no code with the sum of
 the product enumerator.
 
+``permutation_average`` is the loop ``grid_kernel.symmetrize`` used before
+it took one axis swap per step: the real part summed over all n! transposes
+of its axes, then divided by n!.
+
 Three of the paper's definitions, which the library folds away, are kept
 here by their definitions:
 
@@ -36,6 +40,9 @@ here by their definitions:
   polynomials; U_n(I_1(e)) = I_n(e^{(x) n}) for a unit e checks the
   kernel ``breuer_major.vm_kernel`` builds without evaluating U_n.
 """
+
+import math
+from itertools import permutations
 
 import numpy as np
 
@@ -83,6 +90,16 @@ def slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
         for r in range(min(n - k, n - j) + 1)
     )
     return sum_terms(BiChaosElement, f.grid, terms)
+
+
+def permutation_average(f: Kernel) -> Kernel:
+    """The real part of f averaged over all n! transposes of its axes."""
+    data = f.data.real
+    acc = np.zeros(data.shape)
+    for perm in permutations(range(f.order)):
+        acc += np.transpose(data, perm)
+    acc /= math.factorial(f.order)
+    return Kernel(f.grid, f.order, acc)
 
 
 def moments_from_cumulants(kappa, k_max: int) -> list[complex]:

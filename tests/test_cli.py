@@ -185,6 +185,14 @@ def test_bound_check_n3_exit_zero(capsys):
     assert "max_path_diff" in out
 
 
+def test_bound_check_n9_exit_zero(capsys):
+    # on 2 cells only the cap bounds the order: the largest slot is 16 here
+    code, out, err = run(capsys, "bound-check", "--n", "9", "--grid", "2", "--trials", "3")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[3:] if not line.startswith("#")]
+    assert len(rows) == 3 and all(row[5] == "True" for row in rows)
+
+
 def test_bound_check_seeds_differ(capsys):
     _, out1, _ = run(capsys, "bound-check", "--trials", "3", "--seed", "0")
     _, out2, _ = run(capsys, "bound-check", "--trials", "3", "--seed", "7")
@@ -203,27 +211,27 @@ def test_bound_check_seed_beyond_64_bits_exits_two(capsys, seed):
 
 
 def test_bound_check_tiny_tol_leaves_closed_form_empty(capsys):
-    # at this tol trial 35 passes the mirror and unit-norm checks but not
+    # at this tol trial 3 passes the mirror and unit-norm checks but not
     # is_symmetric, so it has no closed form: its field is empty in CSV and
     # null in JSON, and it is left out of max_path_diff
     argv = (
-        "--tol", "4.641588833612773e-16", "bound-check", "--n", "4", "--grid", "2",
-        "--trials", "36", "--seed", "0",
+        "--tol", "1.2915496650148827e-16", "bound-check", "--n", "4", "--grid", "2",
+        "--trials", "4", "--seed", "0",
     )
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     rows = [line.split(",") for line in out.splitlines()[3:] if not line.startswith("#")]
-    assert len(rows) == 36 and rows[35][3] == ""
+    assert len(rows) == 4 and rows[3][3] == ""
     code, out, err = run(capsys, "--format", "json", *argv)
     assert (code, err) == (0, "")
     doc = json.loads(out)
-    assert doc["rows"][35]["lhs_closed_form"] is None
+    assert doc["rows"][3]["lhs_closed_form"] is None
     diffs = [
         abs(row["lhs"] - row["lhs_closed_form"])
         for row in doc["rows"]
         if row["lhs_closed_form"] is not None
     ]
-    assert len(diffs) < 36
+    assert len(diffs) < 4
     assert doc["summary"]["max_path_diff"] == max(diffs)
 
 
@@ -433,7 +441,7 @@ TOO_LARGE_TO_FINISH = {
         (cli, "random_symmetric_unit_kernel"),
         "error: output of order 14 on 9 cells exceeds the cap",
     ),
-    # a 576 MiB draw before symmetrize refused order 26
+    # the 512 MiB draw of order 26 before bound_report refused its order-50 slot
     "bound-check-order-26": (
         ("bound-check", "--n", "26", "--grid", "2", "--trials", "1"),
         (cli, "random_symmetric_unit_kernel"),

@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from oracles import permutation_average
 
 from wignerchaos.bichaos import bichaos_from_json, bichaos_to_json, from_split_kernel
 from wignerchaos.chaos import ChaosElement, chaos_from_json, chaos_to_json, from_kernel
@@ -278,13 +279,53 @@ def test_is_symmetric_and_symmetrize():
     assert is_symmetric(f3, tol=1.0)
 
 
-def test_symmetrize_warns_on_complex_and_rejects_high_order():
+def test_symmetrize_warns_on_complex_and_accepts_high_order():
     f = rand(2, seed=7)
     with pytest.warns(UserWarning):
         s = symmetrize(f)
     assert np.all(s.data.imag == 0)
-    with pytest.raises(ValueError):
-        symmetrize(rand(9, cells=2, seed=8))
+    # n(n-1)/2 swapped adds: only the cap bounds the order
+    for order in range(9, 13):
+        s = symmetrize(rand(order, cells=2, seed=order, complex_=False))
+        assert s.data.dtype == np.float64
+        assert is_symmetric(s, tol=1e-12)
+        assert kernels_close(symmetrize(s), s)
+
+
+def test_symmetrize_matches_permutation_average():
+    # the swaps sum in another order than the n! transposes, so from order 3
+    # on the two agree to rounding; up to order 2 they make the same adds
+    for order in range(8):
+        for cells in (1, 2, 3):
+            if cells**order > 5000:
+                continue
+            for length, complex_ in product((1.0, 7.3), (False, True)):
+                data = rand(order, cells, seed=10 * order + cells, complex_=complex_).data
+                f = Kernel(GridSpec(length, cells), order, data)
+                if complex_:
+                    with pytest.warns(UserWarning, match="dropping nonzero imaginary part"):
+                        got = symmetrize(f).data
+                else:
+                    got = symmetrize(f).data
+                want = permutation_average(f).data
+                assert got.dtype == np.float64
+                if order <= 2:
+                    assert got.tobytes() == want.tobytes()
+                scale = float(np.max(np.abs(f.data.real)))
+                assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, (order, cells)
+
+
+def test_is_symmetric_reads_an_imaginary_part_only_when_there_is_one():
+    s = symmetrize(rand(3, seed=11, complex_=False))
+    assert s.data.dtype == np.float64 and is_symmetric(s, tol=1e-12)
+    as_complex = Kernel(s.grid, 3, s.data.astype(np.complex128))
+    assert is_symmetric(as_complex, tol=1e-12)
+    assert kernels_close(symmetrize(as_complex), s)  # zero imaginary parts: no warning
+    # an imaginary part of 1e-6 * max|f| fails at tol 1e-9 and passes at 1e-3
+    scale = float(np.max(np.abs(s.data)))
+    tilted = Kernel(s.grid, 3, s.data + 1e-6j * scale)
+    assert not is_symmetric(tilted)
+    assert is_symmetric(tilted, tol=1e-3)
 
 
 def test_symmetric_implies_mirror_symmetric_for_real():

@@ -181,7 +181,7 @@ def test_no_test_oracle_is_public():
     oracles = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert {
         "number_inverse", "coefficient_c", "chebyshev_U",
-        "termwise_multiply", "termwise_sharp_multiply",
+        "termwise_multiply", "termwise_sharp_multiply", "permutation_average",
     } <= oracles
     public = set(vars(wignerchaos))
     for module in package_modules():

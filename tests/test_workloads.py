@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import wignerchaos
-from wignerchaos.grid_kernel import GridSpec, MemoryCapError
+from wignerchaos.grid_kernel import GridSpec, MemoryCapError, is_symmetric, norm
 from wignerchaos.workloads import counterexample_kernel, random_symmetric_unit_kernel
 
 grid_kernel = import_module("wignerchaos.grid_kernel")
@@ -74,17 +74,18 @@ def test_random_symmetric_unit_kernel_refuses_over_cap_before_drawing(monkeypatc
     assert peak < 2**20
 
 
-def test_random_symmetric_unit_kernel_refuses_an_order_symmetrize_refuses_before_drawing():
-    # 2**20 entries are under the cap, but symmetrize refuses order 20: the
-    # 8 MiB draw used to come first
+def test_random_symmetric_unit_kernel_draws_order_20_within_four_kernel_sizes():
+    # 2**20 entries (8 MiB) on 2 cells: symmetrize holds the draw and two
+    # arrays at a time, whatever the order
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="symmetrize rejects order > 8"):
-            random_symmetric_unit_kernel(GridSpec(1.0, 2), 20, 0, 0)
+        f = random_symmetric_unit_kernel(GridSpec(1.0, 2), 20, 0, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert f.order == 20 and is_symmetric(f)
+    assert abs(norm(f) - 1.0) <= 1e-12
+    assert peak < 4 * f.data.nbytes
 
 
 def test_counterexample_kernel_refuses_over_cap_before_allocating(monkeypatch):
