@@ -339,11 +339,34 @@ def moment(X: ChaosElement, k: int) -> complex:
 
 
 def _contraction_norms2(f: Kernel) -> list[float]:
-    """||f contract_u f||^2 for u = 1, ..., n-1, unvalidated."""
-    norms2 = []
-    for u in range(1, f.order):
+    """||f contract_u f||^2 for u = 1, ..., n-1, for a mirror-symmetric f.
+
+    Only u = ceil(n/2), ..., n-1 is contracted; each u < n/2 takes the
+    value of n - u.  The largest array built, f contract_u f at
+    u = ceil(n/2), has order 2 floor(n/2) <= n, so it is never larger than
+    f.  The fold: read f as B_u, the (N^u, N^(n-u)) matrix whose rows are
+    its first u arguments, and as A_u, the (N^(n-u), N^u) matrix with its
+    last u axes reversed, so that f contract_u f = h^u A_u B_u and
+    ||f contract_u f||^2 = h^(2n) ||A_u B_u||_F^2.  Mirror symmetry,
+    f(t_1..t_n) = conj f(t_n..t_1), turns the matrices of order u into
+    the adjoints of those of order n - u, up to the permutations R_k that
+    reverse k axes: A_u = R_(n-u) B_u^H and B_(n-u) = R_(n-u) B_u^H R_u.
+    So ||A_u B_u||_F^2 = ||B_u^H B_u||_F^2 = sum_i sigma_i(B_u)^4, and
+    B_(n-u) has the singular values of B_u, so order n - u gives the same
+    sum.
+
+    Its callers, ``fourth_moment_gap``, ``gradient.closed_form_lhs`` and
+    ``gradient.bound_report``, check mirror symmetry (or full symmetry,
+    which implies it for a real kernel) first; on any other kernel the
+    fold is wrong.  A kernel mirror-symmetric only within tol moves each
+    folded value by O(tol) relative.  The tests keep the unfolded loop over
+    every u as the oracle ``contraction_norms2_unfolded``.  Unvalidated.
+    """
+    n = f.order
+    norms2 = [0.0] * max(n - 1, 0)
+    for u in range((n + 1) // 2, n):
         c = contract(f, f, u)
-        norms2.append(inner(c, c).real)
+        norms2[u - 1] = norms2[n - u - 1] = inner(c, c).real
     return norms2
 
 

@@ -28,6 +28,20 @@ for finiteness once.  ``main_bound_lhs`` reduces each slot to its squared
 norm in one pass and checks the entries only when that square is not
 finite; it adds the squares in sorted split order, as ``norm2`` does, so
 it never holds Q and returns the same float.
+
+For a mirror-symmetric f, Q equals its own leg flip, the map
+U (x) V -> V (x) U, which takes the kernel of split (a, b) to the kernel of
+split (b, a) with the two blocks of axes swapped.  The proof: F = I_n(f)
+is self-adjoint, F = F*, so (grad_s F)* is the leg flip of grad_s F, and
+so is that of grad_s L, since L = F/n; the flip reverses a # product,
+flip(A # B) = flip(B) # flip(A), so the flip of Q is
+h * sum_s grad_s F # (grad_s L)*, which is Q.  Slot (a, b) of Q is then
+the flip of slot (b, a), with the same norm, and ``bound_report``, whose
+kernels are mirror-symmetric, builds only the slots with a <= b: half of
+the slots of the largest order.  It also takes the gap from the
+contractions u >= n/2 alone (see ``chaos._contraction_norms2``).
+``main_bound_lhs`` and ``gradient_quadratic_form`` assume no symmetry
+and build every slot.
 """
 
 from __future__ import annotations
@@ -80,7 +94,7 @@ def gradient(n: int, f: Kernel, s: int) -> BiChaosElement:
     return BiChaosElement(f.grid, {w.split: w for w in slices})
 
 
-def _quadratic_form_slots(n: int, f: Kernel):
+def _quadratic_form_slots(n: int, f: Kernel, mirror: bool = False):
     """Yield the quadratic form of f one split at a time, as (split, array) pairs.
 
     Slot (v, 2(n-q) - v) of Q is the sum over s = max(0, v-(n-q))..min(v, n-q),
@@ -101,6 +115,12 @@ def _quadratic_form_slots(n: int, f: Kernel):
     them all.  The arrays are not checked here: the caller checks each slot
     sum once, and a non-finite term leaves the sum non-finite, since inf
     and nan are absorbing under addition.
+
+    With mirror set, only the slots (v, 2(n-q) - v) with v <= n-q are
+    yielded: for a mirror-symmetric f, slot (a, b) is the leg flip of slot
+    (b, a) (see the module docstring), so the others repeat them.  Of the
+    (n-q+1)^2 products of each q, (n-q+1)(n-q+2)/2 are made.  The caller
+    checks mirror symmetry first.
     """
     _require_order(n, f, 1)
     cells = f.grid.cells
@@ -114,7 +134,7 @@ def _quadratic_form_slots(n: int, f: Kernel):
         ]
         shape = (cells,) * (2 * free)
         scratch = np.empty(shape, f.data.dtype) if free > 0 else None
-        for v in range(2 * free + 1):
+        for v in range((free if mirror else 2 * free) + 1):
             acc = np.empty(shape, f.data.dtype)
             first = max(0, v - free)
             for s in range(first, min(v, free) + 1):
@@ -183,9 +203,21 @@ def main_bound_lhs(n: int, f: Kernel) -> float:
     norm2 uses, so the result is bit-identical to
     norm2(gradient_quadratic_form(n, f) - 1 (x) 1).
     """
+    return _lhs(n, f, False)
+
+
+def _lhs(n: int, f: Kernel, mirror: bool) -> float:
+    """main_bound_lhs, from the slots v <= n-q alone when mirror is set.
+
+    The leg flip moves no entry's modulus, so the flipped slot (b, a) has
+    the square of slot (a, b); with mirror set, each square of a slot with
+    a != b is stored under both splits, and the squares are added in the
+    same sorted split order.  Only for a mirror-symmetric f, which the
+    caller checks first.
+    """
     h = f.grid.cell_width
     parts = {}
-    for split, acc in _quadratic_form_slots(n, f):
+    for split, acc in _quadratic_form_slots(n, f, mirror):
         order = sum(split)
         if order == 0:
             acc = acc - 1.0
@@ -193,6 +225,8 @@ def main_bound_lhs(n: int, f: Kernel) -> float:
         if not math.isfinite(part):
             _require_finite(acc)
         parts[split] = part
+        if mirror:
+            parts[split[::-1]] = part
         del acc  # the generator allocates the next slot on the next step
     total = 0.0
     for split in sorted(parts):
@@ -248,12 +282,21 @@ def bound_report(n: int, f: Kernel, tol: float = 1e-9) -> BoundReport:
     symmetric, and bound_satisfied records lhs <= c_n * gap + 1e-9 (which
     is a theorem for fully symmetric f and can legitimately fail
     otherwise).
+
+    Both the gap and the lhs use mirror symmetry to compute each mirror
+    pair once: the gap from the contractions u >= n/2, the lhs from the
+    slots (a, b) with a <= b (see the module docstring).  On an exactly
+    mirror-symmetric kernel they agree with the unfolded gap and with
+    main_bound_lhs to rounding.  A kernel that passes the symmetry test
+    only within tol is off the mirror by some delta * max|f|, and there
+    the two may differ by about delta relative; the tests bound it by
+    n^2 * delta.
     """
     _require_order(n, f, 2)
     _require_unit_kernel(f, tol, is_mirror_symmetric)
     norms2 = _contraction_norms2(f)
     gap = sum(norms2)
-    lhs = main_bound_lhs(n, f)
+    lhs = _lhs(n, f, True)
     closed = _closed_form(n, norms2) if is_symmetric(f, tol) else None
     c_n = bounds.C(n).c_n
     return BoundReport(

@@ -24,6 +24,10 @@ and contraction size.
 left to right by the public ``+``, so it shares no code with the sum of
 the product enumerator.
 
+``contraction_norms2_unfolded`` is the loop ``chaos._contraction_norms2``
+used before it folded u onto n - u: it contracts every u = 1..n-1 in
+full, so it needs no symmetry of f.
+
 ``permutation_average`` is the loop ``grid_kernel.symmetrize`` used before
 it took one axis swap per step: the real part summed over all n! transposes
 of its axes, then divided by n!.
@@ -56,6 +60,7 @@ from wignerchaos.grid_kernel import (
     adjoint_split,
     bicontract,
     contract,
+    inner,
 )
 
 
@@ -90,6 +95,15 @@ def slice_pair_form(f: Kernel, k: int, j: int) -> BiChaosElement:
         for r in range(min(n - k, n - j) + 1)
     )
     return sum_terms(BiChaosElement, f.grid, terms)
+
+
+def contraction_norms2_unfolded(f: Kernel) -> list[float]:
+    """||f contract_u f||^2 for u = 1, ..., n-1, each u contracted."""
+    norms2 = []
+    for u in range(1, f.order):
+        c = contract(f, f, u)
+        norms2.append(inner(c, c).real)
+    return norms2
 
 
 def permutation_average(f: Kernel) -> Kernel:

@@ -468,3 +468,19 @@ def test_json_rejects_keys_int_reads_but_records_never_write(key, order):
     record["kernels"] = {key: record["kernels"][str(order)]}
     with pytest.raises(ValueError, match="malformed element key"):
         chaos_from_json(record)
+
+
+@pytest.mark.parametrize("n, cells", [(5, 12), (6, 8)])
+def test_fourth_moment_gap_of_a_tensor_power_is_n_minus_1(n, cells):
+    # f = e^{(x) n} for a unit step function e: each f contract_u f is
+    # e^{(x) 2(n-u)} times <e, e>^u, of squared norm 1, so the gap is n - 1.
+    # contract_1 has order 2n - 2, over the cap here; the folded gap builds
+    # nothing larger than f
+    grid = GridSpec(2.5, cells)
+    e = np.random.default_rng(n).uniform(0.5, 1.5, cells)
+    e /= math.sqrt(grid.cell_width * np.dot(e, e))
+    data = e
+    for _ in range(n - 1):
+        data = np.multiply.outer(data, e)
+    f = Kernel(grid, n, data)
+    assert fourth_moment_gap(f) == pytest.approx(n - 1, abs=1e-12)

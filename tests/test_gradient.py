@@ -14,11 +14,11 @@ from importlib import import_module
 
 import numpy as np
 import pytest
-from oracles import coefficient_c, number_inverse
+from oracles import coefficient_c, contraction_norms2_unfolded, number_inverse
 
 from wignerchaos.bichaos import adjoint, bitrace, norm2, one_tensor_one, sharp_multiply
 from wignerchaos.bounds import C, P
-from wignerchaos.chaos import fourth_moment_gap, from_kernel
+from wignerchaos.chaos import _contraction_norms2, fourth_moment_gap, from_kernel
 from wignerchaos.gradient import (
     bound_report,
     closed_form_lhs,
@@ -30,6 +30,7 @@ from wignerchaos.grid_kernel import (
     GridSpec,
     Kernel,
     MemoryCapError,
+    adjoint as kernel_adjoint,
     cell_indicator,
     contract,
     is_mirror_symmetric,
@@ -540,3 +541,111 @@ def test_symmetry_decisions_and_bound_report_are_scale_invariant(T):
         for field in ("gap", "lhs", "lhs_closed_form", "c_n", "dc2_from_gap", "dc2_from_lhs"):
             if getattr(want, field) is not None:
                 assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12), field
+
+
+# ---------------------------------------------------------------------------
+# bound_report computes each mirror pair once
+# ---------------------------------------------------------------------------
+
+def leg_flip(slot):
+    # U (x) V -> V (x) U: the split (a, b) kernel read in the split (b, a)
+    a, b = slot.split
+    return np.transpose(slot.kernel.data, tuple(range(a, a + b)) + tuple(range(a)))
+
+
+def flip_defect(Q):
+    # max over slots of |slot (a, b) - flip of slot (b, a)| / max|slot (a, b)|
+    return max(
+        float(np.max(np.abs(w.kernel.data - leg_flip(Q.coeffs[w.split[::-1]]))))
+        / float(np.max(np.abs(w.kernel.data)))
+        for w in Q.coeffs.values()
+    )
+
+
+def mirror_unit_kernel(grid, n, complex_entries, seed):
+    # (g + g*) / 2 is mirror-symmetric exactly, and stays so when normalized
+    rng = np.random.default_rng(seed)
+    shape = (grid.cells,) * n
+    data = rng.standard_normal(shape)
+    if complex_entries:
+        data = data + 1j * rng.standard_normal(shape)
+    g = Kernel(grid, n, data)
+    f = 0.5 * (g + kernel_adjoint(g))
+    return f / norm(f)
+
+
+# (n, cells) with n = 2..6 on 2..5 cells whose largest slot, of order
+# 2(n - 1), has at most 2^16 entries
+MIRROR_SIZES = [
+    (n, cells)
+    for n in range(2, 7)
+    for cells in range(2, 6)
+    if cells ** (2 * (n - 1)) <= 2**16
+]
+
+
+def mirror_kernels(n, cells):
+    for length in (1e-4, 1.0, 3.7, 1e4):
+        for complex_entries in (False, True):
+            seed = 1000 * n + 10 * cells + complex_entries
+            yield mirror_unit_kernel(GridSpec(length, cells), n, complex_entries, seed)
+
+
+def assert_folds_match_full_routes(n, f):
+    unfolded = contraction_norms2_unfolded(f)
+    assert _contraction_norms2(f) == pytest.approx(unfolded, rel=1e-13, abs=0.0)
+    rep = bound_report(n, f)
+    assert rep.gap == pytest.approx(sum(unfolded), rel=1e-13, abs=0.0)
+    assert fourth_moment_gap(f) == pytest.approx(sum(unfolded), rel=1e-13, abs=0.0)
+    assert rep.lhs == pytest.approx(main_bound_lhs(n, f), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n, cells", MIRROR_SIZES)
+def test_bound_report_folds_match_the_full_routes_on_mirror_kernels(n, cells):
+    for f in mirror_kernels(n, cells):
+        assert_folds_match_full_routes(n, f)
+
+
+def test_bound_report_folds_match_the_full_routes_on_the_counterexample():
+    for N in range(2, 25):
+        assert_folds_match_full_routes(3, counterexample_kernel(N))
+
+
+@pytest.mark.parametrize("n, cells", MIRROR_SIZES)
+def test_quadratic_form_of_a_mirror_kernel_is_its_own_leg_flip(n, cells):
+    for f in mirror_kernels(n, cells):
+        assert flip_defect(gradient_quadratic_form(n, f)) <= 1e-13
+
+
+def test_counterexample_quadratic_form_is_its_own_leg_flip():
+    for N in range(2, 25):
+        assert flip_defect(gradient_quadratic_form(3, counterexample_kernel(N))) <= 1e-13
+
+
+def test_leg_flip_check_fails_on_a_generic_kernel():
+    for n in (2, 3, 4):
+        f = random_complex_kernel(GridSpec(1.0, 3), n, seed=71, index=n)
+        assert flip_defect(gradient_quadratic_form(n, f)) > 0.1
+
+
+@pytest.mark.parametrize("delta", [1e-10, 4e-10])
+def test_bound_report_on_near_mirror_kernels_stays_within_n2_delta(delta):
+    # f moved off the mirror by delta * max|f| along an anti-mirror
+    # direction (E* = -E, max|E| = 1), then renormalized: it passes the
+    # symmetry test at the default tol, and the folds drift by O(delta)
+    for n, cells in ((2, 4), (3, 4), (4, 3), (5, 3)):
+        for complex_entries in (False, True):
+            seed = 100 * n + cells + complex_entries
+            f = mirror_unit_kernel(GridSpec(1.0, cells), n, complex_entries, seed)
+            r = random_complex_kernel(f.grid, n, seed, 0)
+            r = r if complex_entries else Kernel(f.grid, n, r.data.real)
+            e = r - kernel_adjoint(r)
+            e = e * (1.0 / float(np.max(np.abs(e.data))))
+            g = f + e * (delta * float(np.max(np.abs(f.data))))
+            g = g / norm(g)
+            assert is_mirror_symmetric(g) and not is_mirror_symmetric(g, delta)
+            rep = bound_report(n, g)
+            bound = n**2 * delta
+            want_gap = sum(contraction_norms2_unfolded(g))
+            assert rep.gap == pytest.approx(want_gap, rel=bound, abs=0.0), (n, complex_entries)
+            assert rep.lhs == pytest.approx(main_bound_lhs(n, g), rel=bound, abs=0.0), (n, complex_entries)

@@ -10,7 +10,9 @@ parameter, to the package's one integer check; the over-cap table holds
 every public function whose size decides an allocation to a
 ``MemoryCapError`` before its first array, and the memory-ceiling table
 holds calls whose scratch memory is bounded (phi's full pairing, the lhs
-of the bound, ``vm_kernel``) to a traced peak; the next holds every
+of the bound, the bound report, the gap, ``vm_kernel``) to a traced peak;
+the mirror-fold guard holds the callers of the routes valid only for a
+mirror-symmetric kernel to the three that check it first; the next holds every
 tolerance, Hurst index and real argument of the bound constants to a
 check that refuses text, bools and None.  ``chaos.moment`` is held bit for bit to the benchmark's
 ``product_trace``, so the benchmark's two moment routes time one result.
@@ -39,8 +41,8 @@ import wignerchaos
 from wignerchaos import grid_kernel
 from wignerchaos.bichaos import from_split_kernel
 from wignerchaos.breuer_major import NORMALIZATIONS, BMConfig, increment_kernels, vm_kernel
-from wignerchaos.chaos import from_kernel, trace_of_product
-from wignerchaos.gradient import main_bound_lhs
+from wignerchaos.chaos import fourth_moment_gap, from_kernel, trace_of_product
+from wignerchaos.gradient import bound_report, main_bound_lhs
 from wignerchaos.grid_kernel import (
     GridSpec,
     Kernel,
@@ -375,6 +377,7 @@ def memory_ceilings():
     grid = GridSpec(1.0, 10)
     Y = from_kernel(6, Kernel(grid, 6, np.random.default_rng(0).standard_normal((10,) * 6)))
     f = random_symmetric_unit_kernel(GridSpec(1.0, 8), 4, 0, 0)
+    f5 = random_symmetric_unit_kernel(GridSpec(1.0, 8), 5, 0, 0)
     slot = 8**6 * 8  # a slot of order 2(n-1) = 6 on 8 cells, float64
     cfg = BMConfig(n=2, H=0.3, m_list=(512,), truncation=100)
     square = 512**2 * 8  # one m x m float64 array, the size of the factor
@@ -385,6 +388,12 @@ def memory_ceilings():
         ),
         # one slot and one scratch buffer; three slots were alive
         "main_bound_lhs n=4 on 8 cells": (lambda: main_bound_lhs(4, f), 2.25 * slot),
+        # half of the large slots, and the gap's contractions u >= n/2
+        "bound_report n=4 on 8 cells": (lambda: bound_report(4, f), 2.25 * slot),
+        # the symmetry test's copies of f; contract_1, of order 8, took 144 MiB
+        "fourth_moment_gap n=5 on 8 cells": (
+            lambda: fourth_moment_gap(f5), 4 * f5.data.nbytes
+        ),
         # the factor and its product, scaled in place; a scaled copy made three
         "vm_kernel n=2 m=512": (lambda: vm_kernel(cfg, 512), 3 * square),
     }
@@ -401,6 +410,49 @@ def test_each_call_stays_under_its_memory_ceiling(label):
     finally:
         tracemalloc.stop()
     assert peak <= ceiling, (peak / 2**20, ceiling / 2**20)
+
+
+# the only functions that may take a route valid just for mirror-symmetric
+# kernels; each checks that symmetry (or full symmetry) through
+# _require_unit_kernel first
+MIRROR_FOLD_CALLERS = {"fourth_moment_gap", "closed_form_lhs", "bound_report"}
+
+
+def mirror_fold_calls(func):
+    """The calls under func that are valid only for a mirror-symmetric kernel.
+
+    _contraction_norms2, and _lhs or _quadratic_form_slots with mirror set
+    to True, by keyword or as their third argument.
+    """
+    folds = []
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        mirror = [k.value for k in node.keywords if k.arg == "mirror"] + node.args[2:3]
+        if name == "_contraction_norms2" or (
+            name in ("_lhs", "_quadratic_form_slots")
+            and any(isinstance(m, ast.Constant) and m.value is True for m in mirror)
+        ):
+            folds.append(node)
+    return folds
+
+
+def test_mirror_folds_are_used_only_after_the_symmetry_check():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and mirror_fold_calls(func):
+                found[func.name] = func
+    assert set(found) == MIRROR_FOLD_CALLERS
+    for name, func in found.items():
+        checks = [
+            node.lineno for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_require_unit_kernel"
+        ]
+        first_fold = min(node.lineno for node in mirror_fold_calls(func))
+        assert checks and min(checks) < first_fold, name
 
 
 # the parameters that carry a tolerance, a Hurst index or a real argument
